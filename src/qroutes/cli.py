@@ -35,7 +35,14 @@ from .measurement import ProjectionRule
 from .probe import init_total, interact, probe_signal_distribution, reduced_system_state, stage_labels_for
 from .routes import ComparisonReport, run_route
 from .routes import compare_routes as _compare_routes
-from .scenarios import Scenario, builtin, builtin_descriptions, parse_scenario, serialize_scenario
+from .scenarios import (
+    Scenario,
+    builtin,
+    builtin_descriptions,
+    encode_complex_array,
+    parse_scenario,
+    scenario_document,
+)
 
 _INPUT_ERRORS = (
     ParseError,
@@ -185,15 +192,11 @@ def render_text(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _matrix_payload(mat: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
-
-
 def render_machine(report: RunReport) -> str:
     s = report.scenario
     cmp = report.comparison
     payload = {
-        "scenario": json.loads(serialize_scenario(s)),
+        "scenario": scenario_document(s),
         "rule": s.rule.value,
         "tolerance": cmp.tolerance,
         "target": cmp.target_label,
@@ -202,7 +205,7 @@ def render_machine(report: RunReport) -> str:
         "routes": [
             {
                 "name": name,
-                "final_state": _matrix_payload(state.mat),
+                "final_state": encode_complex_array(state.mat),
                 "target_statistics": list(stats),
             }
             for name, state, stats in zip(

@@ -1,9 +1,9 @@
 """Dense complex linear algebra for small Hilbert spaces.
 
 Matrices are square numpy arrays of ``complex128``. All tolerances default
-to 1e-10 and can be overridden per call. Eigendecomposition is a cyclic
-Jacobi iteration with complex rotations, so results are deterministic for
-identical input bytes.
+to 1e-10 and can be overridden per call. Eigensystems come from LAPACK
+through ``numpy.linalg.eigh``, with a fixed order and phase convention on
+top; callers that need only eigenvalues use ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from .errors import CapacityError, DimensionError, HermiticityError
 
 # Composite spaces beyond this are refused rather than silently built.
 MAX_DIM = 1024
-
-_JACOBI_SWEEPS = 60
 
 
 def as_matrix(m) -> np.ndarray:
@@ -90,40 +88,8 @@ def hermitian_part(m) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """One Jacobi rotation zeroing a[p, q], applied in place to a and v."""
-    h = a[p, q]
-    absh = abs(h)
-    phase = h / absh
-    tau = (a[p, p].real - a[q, q].real) / (2.0 * absh)
-    # smaller root of t^2 + 2*tau*t - 1 = 0 keeps the rotation angle <= pi/4
-    if tau >= 0.0:
-        t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c * np.conj(phase)
-    for mat in (a, v):
-        colp = mat[:, p] * c + mat[:, q] * s
-        colq = mat[:, q] * c - mat[:, p] * np.conj(s)
-        mat[:, p] = colp
-        mat[:, q] = colq
-    rowp = a[p, :] * c + a[q, :] * np.conj(s)
-    rowq = a[q, :] * c - a[p, :] * s
-    a[p, :] = rowp
-    a[q, :] = rowq
-
-
-def _first_nonzero(v: np.ndarray) -> int:
-    cut = 1e-8 * float(np.max(np.abs(v), initial=0.0))
-    for i, x in enumerate(v):
-        if abs(x) > cut:
-            return i
-    return 0
-
-
 def hermitian_eigendecomposition(m, tol: float = 1e-10) -> list[tuple[float, np.ndarray]]:
-    """Full eigensystem of a Hermitian matrix by cyclic Jacobi rotations.
+    """Full eigensystem of a Hermitian matrix, computed by LAPACK (``eigh``).
 
     Returns ``[(eigenvalue, eigenvector), ...]`` sorted by descending
     eigenvalue. Ties are ordered by the index of the first nonzero
@@ -136,34 +102,17 @@ def hermitian_eigendecomposition(m, tol: float = 1e-10) -> list[tuple[float, np.
     defect = hermiticity_defect(m)
     if defect > tol:
         raise HermiticityError(f"max |m - m†| = {defect:.3e} exceeds tolerance {tol:.3e}")
-    a = hermitian_part(m)
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    scale = max(float(np.max(np.abs(a), initial=0.0)), 1e-300)
-    conv = 1e-14 * scale
-    for _ in range(_JACOBI_SWEEPS):
-        off = max(
-            (float(np.max(np.abs(a[p, p + 1:]))) for p in range(n - 1)),
-            default=0.0,
-        )
-        if off <= conv:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) > conv * 1e-3:
-                    _rotate(a, v, p, q)
-    else:
-        raise ArithmeticError("Jacobi iteration did not converge")
-    vals = np.diag(a).real
-    pairs = []
-    for i in range(n):
-        vec = v[:, i].copy()
-        j = _first_nonzero(vec)
-        ph = vec[j] / abs(vec[j])
-        vec *= np.conj(ph)
-        pairs.append((float(vals[i]), j, vec))
-    pairs.sort(key=lambda item: (-item[0], item[1]))
-    return [(val, vec) for val, _, vec in pairs]
+    vals, vecs = np.linalg.eigh(hermitian_part(m))
+    if vals.size == 0:
+        return []
+    mags = np.abs(vecs)
+    # first component above 1e-8 of the column's largest one
+    lead = np.argmax(mags > 1e-8 * mags.max(axis=0), axis=0)
+    cols = np.arange(vals.size)
+    vecs = vecs * (mags[lead, cols] / vecs[lead, cols])
+    order = np.lexsort((lead, -vals))
+    rows = vecs.T[order]
+    return [(float(vals[i]), row) for i, row in zip(order, rows)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,10 +135,10 @@ class DensityMatrix:
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > 1e-10:
             raise ValueError(f"density matrix trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        low = min(val for val, _ in hermitian_eigendecomposition(m))
+        m = hermitian_part(m)
+        low = float(np.linalg.eigvalsh(m)[0])
         if low < -1e-10:
             raise ValueError(f"density matrix has negative eigenvalue {low:.3e}")
-        m = hermitian_part(m)
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
 
@@ -208,6 +157,5 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Half the sum of |eigenvalues| of a - b; 0 iff the states agree."""
     if a.dim != b.dim:
         raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    vals = [val for val, _ in hermitian_eigendecomposition(a.mat - b.mat)]
-    d = 0.5 * float(np.sum(np.abs(vals)))
+    d = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a.mat - b.mat))))
     return min(max(d, 0.0), 1.0)

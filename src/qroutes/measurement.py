@@ -1,9 +1,9 @@
 """Spectral decomposition of observables and projective state updates.
 
 An observable is carried together with its eigenvalue groups: one group
-per distinct eigenvalue, each holding the eigenspace projector and a
-deterministic orthonormal basis of that eigenspace. The two update rules
-differ exactly where degeneracy appears:
+per distinct eigenvalue, each holding the eigenspace projector and an
+orthonormal basis of that eigenspace derived from the projector alone. The
+two update rules differ exactly where degeneracy appears:
 
 * Lueders:     rho' = sum_n  P_n rho P_n          (one term per group)
 * von Neumann: rho' = sum_ni |x_ni><x_ni| rho |x_ni><x_ni|   (rank one)
@@ -20,12 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousGroupingError, DimensionError, ZeroProbabilityError
-from .linalg import (
-    DensityMatrix,
-    as_matrix,
-    hermitian_eigendecomposition,
-    hermitian_part,
-)
+from .linalg import DensityMatrix, as_matrix, hermitian_eigendecomposition
 
 
 class ProjectionRule(enum.Enum):
@@ -81,7 +76,8 @@ class Observable:
                 raise ValueError("degeneracy disagrees with the stored basis size")
             if abs(np.trace(g.projector).real - g.degeneracy) > 1e-8:
                 raise ValueError("projector trace disagrees with the degeneracy")
-            rebuilt = sum(np.outer(v, v.conj()) for v in g.basis)
+            basis = np.array(g.basis)
+            rebuilt = basis.T @ basis.conj()
             if np.max(np.abs(rebuilt - g.projector)) > 1e-10:
                 raise ValueError("stored basis does not span the group projector")
         # Orthonormality of the stacked basis implies projector idempotence
@@ -131,17 +127,43 @@ def spectral_decompose(m, group_tol: float = 1e-8, *, label: str = "") -> Observ
             clusters.append([cur])
     groups = []
     for cluster in clusters:
-        vecs = tuple(vec for _, vec in cluster)
-        projector = sum(np.outer(v, v.conj()) for v in vecs)
+        vecs = np.array([vec for _, vec in cluster])
+        projector = vecs.T @ vecs.conj()
         groups.append(
             EigenGroup(
                 eigenvalue=float(np.mean([val for val, _ in cluster])),
-                degeneracy=len(vecs),
+                degeneracy=len(cluster),
                 projector=projector,
-                basis=vecs,
+                basis=_eigenspace_basis(projector, len(cluster)),
             )
         )
     return Observable(matrix=m, groups=tuple(groups), label=label)
+
+
+def _eigenspace_basis(projector: np.ndarray, degeneracy: int) -> tuple[np.ndarray, ...]:
+    """Orthonormal basis of a projector's range, fixed by the projector alone.
+
+    Gram-Schmidt over the projector's columns in index order, each
+    re-orthogonalised once; a column is kept when its residual norm^2
+    exceeds 1/(2n). So the basis does not depend on which eigenvectors the
+    solver returned inside a degenerate eigenspace. It always fills up:
+    with k vectors kept, the residual norms^2 of all n columns sum to
+    degeneracy - k >= 1 while k < degeneracy, so some column exceeds 1/n.
+    """
+    n = projector.shape[0]
+    q = np.zeros((degeneracy, n), dtype=complex)
+    k = 0
+    for col in projector.T:
+        if k == degeneracy:
+            break
+        r = col.copy()
+        for _ in range(2):
+            r -= q[:k].T @ (q[:k].conj() @ r)
+        norm2 = float(np.vdot(r, r).real)
+        if norm2 > 0.5 / n:
+            q[k] = r / np.sqrt(norm2)
+            k += 1
+    return tuple(q)
 
 
 def _check_dims(rho: DensityMatrix, obs: Observable) -> None:
@@ -157,14 +179,15 @@ def luders_update(rho: DensityMatrix, obs: Observable) -> DensityMatrix:
     """
     _check_dims(rho, obs)
     out = sum(g.projector @ rho.mat @ g.projector for g in obs.groups)
-    return DensityMatrix(hermitian_part(out))
+    return DensityMatrix(out)
 
 
 def von_neumann_update(rho: DensityMatrix, obs: Observable) -> DensityMatrix:
     """Non-selective rank-one update over each group's stored basis.
 
     The state is dephased in the refinement basis, so the result can
-    depend on which intra-eigenspace basis the observable carries. A fully
+    depend on which intra-eigenspace basis the observable carries;
+    ``spectral_decompose`` fixes that basis from the projector alone. A fully
     degenerate observable (a single eigenvalue on the whole space) leaves
     no preferred refinement at all and maps every state to the maximally
     mixed one.
@@ -175,7 +198,7 @@ def von_neumann_update(rho: DensityMatrix, obs: Observable) -> DensityMatrix:
     u = np.column_stack([v for g in obs.groups for v in g.basis])
     weights = np.diag(u.conj().T @ rho.mat @ u).real
     out = (u * weights) @ u.conj().T
-    return DensityMatrix(hermitian_part(out))
+    return DensityMatrix(out)
 
 
 def apply_rule(rho: DensityMatrix, obs: Observable, rule: ProjectionRule) -> DensityMatrix:
@@ -210,5 +233,4 @@ def selective_outcome(
         raise ZeroProbabilityError(
             f"outcome {obs.groups[group_index].eigenvalue} has probability {prob:.3e}"
         )
-    post = hermitian_part(p @ rho.mat @ p) / prob
-    return prob, DensityMatrix(post)
+    return prob, DensityMatrix(p @ rho.mat @ p / prob)

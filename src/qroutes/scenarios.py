@@ -267,8 +267,9 @@ def _decode_matrix(node, path: str, problems: list[str]) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _encode_complex(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def encode_complex_array(a: np.ndarray) -> list:
+    """Nested lists shaped like ``a``, each complex entry as a [re, im] pair."""
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -379,23 +380,18 @@ def parse_scenario(text: str) -> Scenario:
     )
 
 
-def serialize_scenario(s: Scenario) -> str:
-    """Render a Scenario in the file format; parses back to equal values."""
+def scenario_document(s: Scenario) -> dict:
+    """The file form of a Scenario as JSON-ready dicts and lists."""
     if isinstance(s.initial_state, DensityMatrix):
-        state_node = {
-            "density_matrix": [
-                [_encode_complex(x) for x in row] for row in s.initial_state.mat
-            ]
-        }
+        state_node = {"density_matrix": encode_complex_array(s.initial_state.mat)}
     else:
-        state_node = {"vector": [_encode_complex(x) for x in s.initial_state]}
-    doc = {
+        state_node = {"vector": encode_complex_array(s.initial_state)}
+    return {
         "name": s.name,
         "system_dim": s.system_dim,
         "initial_state": state_node,
         "observables": {
-            label: [[_encode_complex(x) for x in row] for row in m]
-            for label, m in s.observables.items()
+            label: encode_complex_array(m) for label, m in s.observables.items()
         },
         "routes": [
             {"name": r.name, "steps": list(r.steps), "rule": r.rule.value}
@@ -405,4 +401,8 @@ def serialize_scenario(s: Scenario) -> str:
         "rule": s.rule.value,
         "tolerance": s.tolerance,
     }
-    return json.dumps(doc, indent=2) + "\n"
+
+
+def serialize_scenario(s: Scenario) -> str:
+    """Render a Scenario in the file format; parses back to equal values."""
+    return json.dumps(scenario_document(s), indent=2) + "\n"

@@ -1,14 +1,18 @@
-"""Shared test utilities: random objects and analytic reference states.
+"""Shared test utilities: random objects, analytic reference states and oracles.
 
 The analytic forms are written straight from the projector algebra so
-they stay independent of the package's own update implementations.
+they stay independent of the package's own update implementations. The
+cyclic Jacobi eigensolver is a second oracle next to ``numpy.linalg``: it
+shares no code with the LAPACK routines the package calls.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from qroutes import DensityMatrix
+from qroutes import DensityMatrix, Route, Scenario
+
+_JACOBI_SWEEPS = 60
 
 
 def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -78,3 +82,99 @@ def dephased(amp) -> np.ndarray:
 def oracle_trace_distance(x: np.ndarray, y: np.ndarray) -> float:
     """Independent reference via numpy's eigensolver."""
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(x - y))))
+
+
+def jacobi_trace_distance(x: np.ndarray, y: np.ndarray) -> float:
+    """Independent reference via the Jacobi oracle."""
+    return 0.5 * float(np.sum(np.abs([val for val, _ in jacobi_eigensystem(x - y)])))
+
+
+def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
+    """One Jacobi rotation zeroing a[p, q], applied in place to a and v."""
+    h = a[p, q]
+    absh = abs(h)
+    phase = h / absh
+    tau = (a[p, p].real - a[q, q].real) / (2.0 * absh)
+    # smaller root of t^2 + 2*tau*t - 1 = 0 keeps the rotation angle <= pi/4
+    if tau >= 0.0:
+        t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
+    else:
+        t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    s = t * c * np.conj(phase)
+    for mat in (a, v):
+        colp = mat[:, p] * c + mat[:, q] * s
+        colq = mat[:, q] * c - mat[:, p] * np.conj(s)
+        mat[:, p] = colp
+        mat[:, q] = colq
+    rowp = a[p, :] * c + a[q, :] * np.conj(s)
+    rowq = a[q, :] * c - a[p, :] * s
+    a[p, :] = rowp
+    a[q, :] = rowq
+
+
+def _first_nonzero(v: np.ndarray) -> int:
+    cut = 1e-8 * float(np.max(np.abs(v), initial=0.0))
+    for i, x in enumerate(v):
+        if abs(x) > cut:
+            return i
+    return 0
+
+
+def jacobi_eigensystem(m: np.ndarray) -> list[tuple[float, np.ndarray]]:
+    """Eigensystem of a Hermitian matrix by cyclic Jacobi rotations.
+
+    Same contract as ``hermitian_eigendecomposition``: descending
+    eigenvalues, ties ordered by the first nonzero eigenvector component,
+    and that component made real and positive.
+    """
+    a = (m + m.conj().T) / 2
+    n = a.shape[0]
+    v = np.eye(n, dtype=complex)
+    scale = max(float(np.max(np.abs(a), initial=0.0)), 1e-300)
+    conv = 1e-14 * scale
+    for _ in range(_JACOBI_SWEEPS):
+        off = max(
+            (float(np.max(np.abs(a[p, p + 1:]))) for p in range(n - 1)),
+            default=0.0,
+        )
+        if off <= conv:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                if abs(a[p, q]) > conv * 1e-3:
+                    _rotate(a, v, p, q)
+    else:
+        raise ArithmeticError("Jacobi iteration did not converge")
+    vals = np.diag(a).real
+    pairs = []
+    for i in range(n):
+        vec = v[:, i].copy()
+        j = _first_nonzero(vec)
+        ph = vec[j] / abs(vec[j])
+        vec *= np.conj(ph)
+        pairs.append((float(vals[i]), j, vec))
+    pairs.sort(key=lambda item: (-item[0], item[1]))
+    return [(val, vec) for val, _, vec in pairs]
+
+
+def degenerate_scenario(seed: int, dim: int = 24) -> Scenario:
+    """Commuting degenerate A, B (spectra in {0, 1, 2}) and C = A·B in a random basis.
+
+    Routes C, AB and BA to the target C: the paper's degenerate case at
+    dimension ``dim`` (a multiple of 3).
+    """
+    rng = np.random.default_rng(seed)
+    u = random_unitary(rng, dim)
+    a = rng.permutation(np.repeat([0.0, 1.0, 2.0], dim // 3))
+    b = rng.permutation(np.repeat([0.0, 1.0, 2.0], dim // 3))
+    mat_a = (u * a) @ u.conj().T
+    mat_b = (u * b) @ u.conj().T
+    return Scenario(
+        name=f"degenerate-{dim}-seed{seed}",
+        system_dim=dim,
+        initial_state=random_state(rng, dim),
+        observables={"A": mat_a, "B": mat_b, "C": mat_a @ mat_b},
+        routes=(Route(("C",), name="C"), Route(("A", "B"), name="AB"), Route(("B", "A"), name="BA")),
+        target="C",
+    )

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qroutes
+from helpers import degenerate_scenario
 from qroutes import builtin, serialize_scenario
-from qroutes.cli import main
+from qroutes.cli import main, render_machine, run_scenario
 
 AMP = "0.7071067811865476,0,0.7071067811865476"
 
@@ -130,6 +136,59 @@ class TestRunJson:
         assert out == ""
         doc = json.loads(target.read_text())
         assert doc["scenario"]["name"] == "qutrit-paper"
+
+
+def _legacy_render_machine(report) -> str:
+    """Reference rendering of the JSON report: the scenario passes through
+    ``serialize_scenario`` and ``json.loads``, and every final-state entry
+    through ``float(z.real), float(z.imag)``."""
+    doc = json.loads(render_machine(report))
+    doc["scenario"] = json.loads(serialize_scenario(report.scenario))
+    for entry, state in zip(doc["routes"], report.comparison.final_states):
+        entry["final_state"] = [[[float(z.real), float(z.imag)] for z in row] for row in state.mat]
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# Runs each argv list given as JSON through the CLI in one interpreter and
+# prints every exit code and report; BLAS reads its thread count at start-up.
+_RUN_MANY = """
+import contextlib, io, json, sys
+from qroutes.cli import main
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    print(code, out.getvalue(), sep="\\n")
+"""
+
+
+class TestRunJsonStability:
+    @pytest.mark.parametrize("make", [lambda: builtin("qutrit-paper"), lambda: degenerate_scenario(7)])
+    def test_matches_legacy_rendering(self, make):
+        report = run_scenario(make(), probe=False)
+        assert render_machine(report) == _legacy_render_machine(report)
+
+    def test_byte_stable_across_blas_thread_counts(self, tmp_path):
+        path = tmp_path / "degenerate-24.json"
+        path.write_text(serialize_scenario(degenerate_scenario(11)))
+        sources = ["nondegenerate-counterexample", "qutrit-paper", "two-qubit-rafasala", str(path)]
+        commands = [
+            ["run", source, "--rule", rule, "--format", "json"]
+            for source in sources
+            for rule in ("luders", "von-neumann")
+        ]
+        src = str(Path(qroutes.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", _RUN_MANY, json.dumps(commands)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0].count("0\n{") == len(commands)
+        assert outputs[0] == outputs[1]
 
 
 class TestRunFromFile:

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    jacobi_eigensystem,
+    jacobi_trace_distance,
     oracle_trace_distance,
     random_density,
     random_hermitian,
@@ -142,10 +144,13 @@ class TestEigendecomposition:
         assert abs(vecs[0, 0]) == pytest.approx(1.0, abs=1e-12)
         assert abs(vecs[1, 1]) == pytest.approx(1.0, abs=1e-12)
         assert abs(vecs[2, 2]) == pytest.approx(1.0, abs=1e-12)
+        jacobi = np.column_stack([w for _, w in jacobi_eigensystem(diag3(1, 1, 0))])
+        assert np.allclose(vecs, jacobi, atol=1e-12)
 
     def test_spectrum_with_irrational_gaps(self):
         vals = [v for v, _ in hermitian_eigendecomposition(d1_matrix())]
         assert vals == pytest.approx([1 + SQ3, 0.0, 1 - SQ3], abs=1e-10)
+        assert vals == pytest.approx([v for v, _ in jacobi_eigensystem(d1_matrix())], abs=1e-12)
 
     @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
     def test_matches_numpy_oracle_on_random_input(self, dim):
@@ -159,6 +164,11 @@ class TestEigendecomposition:
             assert np.allclose(vals, oracle, atol=1e-10)
             assert np.allclose(vecs @ np.diag(vals) @ vecs.conj().T, m, atol=1e-10)
             assert np.allclose(vecs.conj().T @ vecs, np.eye(dim), atol=1e-10)
+            # Random spectra are simple, so order and phase convention fix
+            # every eigenvector; the Jacobi oracle must agree on all of them.
+            jacobi = jacobi_eigensystem(m)
+            assert np.allclose(vals, [v for v, _ in jacobi], atol=1e-10)
+            assert np.allclose(vecs, np.column_stack([w for _, w in jacobi]), atol=1e-8)
 
     def test_handles_exact_degeneracy(self):
         rng = np.random.default_rng(21)
@@ -247,6 +257,9 @@ class TestTraceDistance:
             x, y = random_density(rng, dim), random_density(rng, dim)
             assert trace_distance(x, y) == pytest.approx(
                 oracle_trace_distance(x.mat, y.mat), abs=1e-11
+            )
+            assert trace_distance(x, y) == pytest.approx(
+                jacobi_trace_distance(x.mat, y.mat), abs=1e-11
             )
 
     def test_symmetry(self):

@@ -6,12 +6,14 @@ import pytest
 from helpers import (
     dephased,
     hermitian_with_spectrum,
+    jacobi_eigensystem,
     random_density,
     random_state,
     random_unitary,
     state_after_a,
     state_after_direct_c,
 )
+from qroutes import measurement
 from qroutes import (
     AmbiguousGroupingError,
     DensityMatrix,
@@ -20,6 +22,7 @@ from qroutes import (
     ProjectionRule,
     ZeroProbabilityError,
     apply_rule,
+    hermitian_eigendecomposition,
     luders_update,
     selective_outcome,
     spectral_decompose,
@@ -202,6 +205,28 @@ class TestVonNeumannUpdate:
         coarse_a = luders_update(rho, obs_canonical)
         coarse_b = luders_update(rho, obs_rotated)
         assert np.allclose(coarse_a.mat, coarse_b.mat, atol=1e-12)
+
+
+    def test_spectral_basis_ignores_the_solver_choice(self, monkeypatch):
+        # spectral_decompose derives each group's basis from its projector,
+        # so eigenvectors rotated inside a degenerate eigenspace, or taken
+        # from another solver, give the same fine-grained update.
+        rng = np.random.default_rng(63)
+        m, _ = hermitian_with_spectrum(rng, np.repeat([2.0, 0.0, -1.0], 3))
+        rho = random_density(rng, 9)
+        reference = von_neumann_update(rho, spectral_decompose(m))
+
+        def rotated_eigh(mat, tol=1e-10):
+            pairs = hermitian_eigendecomposition(mat, tol)
+            vecs = np.column_stack([w for _, w in pairs])
+            for start in (0, 3, 6):
+                vecs[:, start:start + 3] = vecs[:, start:start + 3] @ random_unitary(rng, 3)
+            return [(val, vec) for (val, _), vec in zip(pairs, vecs.T)]
+
+        for solver in (rotated_eigh, lambda mat, tol=1e-10: jacobi_eigensystem(mat)):
+            monkeypatch.setattr(measurement, "hermitian_eigendecomposition", solver)
+            out = von_neumann_update(rho, spectral_decompose(m))
+            assert np.abs(out.mat - reference.mat).max() <= 1e-12
 
 
 class TestApplyRule:
