@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 import time
 from dataclasses import dataclass
@@ -42,6 +41,7 @@ from .scenarios import (
     encode_complex_array,
     parse_scenario,
     scenario_document,
+    write_json,
 )
 
 _INPUT_ERRORS = (
@@ -214,15 +214,15 @@ def render_machine(report: RunReport) -> str:
         ],
         "comparison": {
             "route_names": list(cmp.route_names),
-            "pairwise_trace_distance": cmp.pairwise_trace_distance.tolist(),
-            "pairwise_max_abs_diff": cmp.pairwise_max_abs_diff.tolist(),
+            "pairwise_trace_distance": cmp.pairwise_trace_distance,
+            "pairwise_max_abs_diff": cmp.pairwise_max_abs_diff,
             "verdicts": [[v.value for v in row] for row in cmp.verdicts],
         },
         "probe": None
         if report.probe_results is None
         else [dict(entry) for entry in report.probe_results],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return write_json(payload)
 
 
 def _parse_state(text: str) -> np.ndarray:

@@ -3,12 +3,15 @@
 A scenario bundles an initial state, a registry of labelled observables,
 the routes to compare, and the comparison target. Files are JSON with
 complex numbers written as [re, im] pairs and matrices as row-major
-nested arrays; floats round-trip exactly through the default rendering.
+nested arrays. This module owns that format: ``write_json`` writes scenario
+files and run reports alike, byte for byte as ``json.dumps(indent=2)``
+would, so floats round-trip exactly.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -92,8 +95,8 @@ class Scenario:
                 out.append(
                     f"observables.{label}: not Hermitian (max |M - M†| = {defect:.3e})"
                 )
-        if not self.routes:
-            out.append("routes: at least one route required")
+        if len(self.routes) < 2:
+            out.append("routes: at least two routes required")
         for i, route in enumerate(self.routes):
             for step in route.steps:
                 if step not in self.observables:
@@ -241,15 +244,43 @@ def _decode_complex(node, path: str, problems: list[str]) -> complex:
         and len(node) == 2
         and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in node)
     ):
-        return complex(node[0], node[1])
+        try:
+            return complex(node[0], node[1])
+        except OverflowError:
+            problems.append(f"{path}: number out of float range")
+            return 0j
     problems.append(f"{path}: expected a [re, im] number pair, got {node!r}")
     return 0j
+
+
+def _complex_array(node: list, rank: int) -> np.ndarray | None:
+    """``node`` as a complex array of ``rank`` axes, or None unless well formed.
+
+    Well formed means a regular nest of numbers (no bools) with a last axis
+    of [re, im] pairs. The pairs are reinterpreted in place rather than
+    combined as ``re + 1j*im``, which would turn a -0.0 real part into 0.0.
+    """
+    try:
+        a = np.array(node)
+    except ValueError:
+        return None
+    if a.dtype.kind not in "iuf" or a.ndim != rank + 1 or a.shape[-1] != 2:
+        return None
+    flat = node
+    for _ in range(rank):
+        flat = itertools.chain.from_iterable(flat)
+    if bool in map(type, flat):
+        return None
+    return a.astype(float).view(complex)[..., 0]
 
 
 def _decode_vector(node, path: str, problems: list[str]) -> np.ndarray:
     if not isinstance(node, list) or not node:
         problems.append(f"{path}: expected a non-empty array of [re, im] pairs")
         return np.zeros(1, dtype=complex)
+    fast = _complex_array(node, 1)
+    if fast is not None:
+        return fast
     return np.array(
         [_decode_complex(x, f"{path}[{i}]", problems) for i, x in enumerate(node)],
         dtype=complex,
@@ -260,6 +291,9 @@ def _decode_matrix(node, path: str, problems: list[str]) -> np.ndarray:
     if not isinstance(node, list) or not node:
         problems.append(f"{path}: expected a non-empty array of rows")
         return np.zeros((1, 1), dtype=complex)
+    fast = _complex_array(node, 2)
+    if fast is not None:
+        return fast
     rows = [_decode_vector(row, f"{path}[{i}]", problems) for i, row in enumerate(node)]
     if len({r.size for r in rows}) != 1:
         problems.append(f"{path}: rows have inconsistent lengths")
@@ -267,9 +301,52 @@ def _decode_matrix(node, path: str, problems: list[str]) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def encode_complex_array(a: np.ndarray) -> list:
-    """Nested lists shaped like ``a``, each complex entry as a [re, im] pair."""
-    return np.stack([a.real, a.imag], -1).tolist()
+def encode_complex_array(a: np.ndarray) -> np.ndarray:
+    """A float array shaped like ``a`` plus a last axis holding each [re, im] pair.
+
+    Documents holding it are written with ``write_json``.
+    """
+    return np.stack([a.real, a.imag], -1)
+
+
+_NESTED = (dict, list, tuple, np.ndarray)
+
+
+def _block(brackets: str, items: list[str], pad: str) -> str:
+    inner = pad + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+
+
+def _array_template(shape: tuple[int, ...], pad: str) -> str:
+    if not shape:
+        return "%r"
+    return _block("[]", [_array_template(shape[1:], pad + "  ")] * shape[0], pad)
+
+
+def _key(key) -> str:
+    # json.dumps writes a non-string key as the string of its JSON scalar.
+    return json.dumps(key if isinstance(key, str) else json.dumps(key))
+
+
+def _write(node, level: int) -> str:
+    pad = "\n" + "  " * level
+    if isinstance(node, np.ndarray):
+        if node.dtype.kind == "f" and node.size and np.isfinite(node).all():
+            # float repr is the spelling json.dumps uses for finite floats.
+            return _array_template(node.shape, pad) % tuple(node.ravel().tolist())
+        node = node.tolist()
+    elif isinstance(node, dict) and any(isinstance(v, _NESTED) for v in node.values()):
+        return _block("{}", [f"{_key(k)}: {_write(v, level + 1)}" for k, v in node.items()], pad)
+    elif isinstance(node, (list, tuple)) and any(isinstance(v, _NESTED) for v in node):
+        return _block("[]", [_write(v, level + 1) for v in node], pad)
+    # JSON text holds no raw newline outside indentation, so this re-indents.
+    return json.dumps(node, indent=2).replace("\n", pad)
+
+
+def write_json(doc) -> str:
+    """``json.dumps(doc, indent=2) + "\\n"`` byte for byte, with every
+    ``ndarray`` in ``doc`` written as its nested lists would be."""
+    return _write(doc, 0) + "\n"
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -278,6 +355,8 @@ def parse_scenario(text: str) -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise ParseError(str(exc)) from exc
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
 
@@ -300,6 +379,11 @@ def parse_scenario(text: str) -> Scenario:
     target = fetch("target", str, default="")
     rule_name = fetch("rule", str, required=False, default=ProjectionRule.LUDERS.value)
     tolerance = fetch("tolerance", (int, float), required=False, default=1e-8)
+    try:
+        tolerance = float(tolerance)
+    except OverflowError:
+        problems.append("tolerance: number out of float range")
+        tolerance = 1e-8
 
     rule = ProjectionRule.LUDERS
     try:
@@ -340,8 +424,6 @@ def parse_scenario(text: str) -> Scenario:
     routes: list[Route] = []
     routes_node = fetch("routes", list)
     if routes_node is not None:
-        if not routes_node:
-            problems.append("routes: at least one route required")
         for i, node in enumerate(routes_node):
             if not isinstance(node, dict):
                 problems.append(f"routes[{i}]: expected an object")
@@ -376,12 +458,12 @@ def parse_scenario(text: str) -> Scenario:
         routes=tuple(routes),
         target=target,
         rule=rule,
-        tolerance=float(tolerance),
+        tolerance=tolerance,
     )
 
 
 def scenario_document(s: Scenario) -> dict:
-    """The file form of a Scenario as JSON-ready dicts and lists."""
+    """The file form of a Scenario as dicts, lists and arrays, for ``write_json``."""
     if isinstance(s.initial_state, DensityMatrix):
         state_node = {"density_matrix": encode_complex_array(s.initial_state.mat)}
     else:
@@ -405,4 +487,4 @@ def scenario_document(s: Scenario) -> dict:
 
 def serialize_scenario(s: Scenario) -> str:
     """Render a Scenario in the file format; parses back to equal values."""
-    return json.dumps(scenario_document(s), indent=2) + "\n"
+    return write_json(scenario_document(s))

@@ -256,3 +256,46 @@ class TestValidate:
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "validate", str(tmp_path / "absent.json"))
         assert code == 2
+
+
+def _set_entry(doc, value):
+    doc["observables"]["A"][0][0] = value
+
+
+def _set_tolerance(doc, value):
+    doc["tolerance"] = value
+
+
+def _keep_one_route(doc, _):
+    del doc["routes"][1:]
+
+
+class TestValidateAgreesWithRun:
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "edit, value, message",
+        [
+            (_set_entry, [10**400, 0], "observables.A[0][0]: number out of float range"),
+            (_set_tolerance, 10**400, "tolerance: number out of float range"),
+            (_keep_one_route, None, "routes: at least two routes required"),
+        ],
+        ids=["huge-entry", "huge-tolerance", "one-route"],
+    )
+    def test_input_problem_exits_2(self, capsys, tmp_path, command, edit, value, message):
+        doc = json.loads(serialize_scenario(builtin("qutrit-paper")))
+        edit(doc, value)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_integer_literal_past_the_digit_limit(self, capsys, tmp_path, command):
+        text = serialize_scenario(builtin("qutrit-paper")).replace("1e-08", "1" * 5000)
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2
+        assert out == ""

@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from helpers import random_density, random_hermitian, random_state
 from qroutes import (
@@ -17,6 +20,7 @@ from qroutes import (
     parse_scenario,
     serialize_scenario,
 )
+from qroutes.scenarios import _decode_matrix, encode_complex_array, write_json
 
 SQ3 = np.sqrt(3.0)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -226,6 +230,53 @@ class TestRoundTrip:
         assert serialize_scenario(s).endswith("\n")
 
 
+FINITE_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-5])
+EDGE_FLOATS = FINITE_EDGE_FLOATS | st.sampled_from([float("nan"), float("inf"), float("-inf")])
+ARRAYS = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=3),
+    elements=EDGE_FLOATS | st.floats(),
+)
+SCALARS = (
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | EDGE_FLOATS | st.floats() | st.text()
+)
+DOCUMENTS = st.recursive(
+    SCALARS | ARRAYS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=10,
+)
+PAIR_GRIDS = hnp.arrays(
+    np.float64,
+    st.tuples(st.integers(1, 3), st.integers(1, 3), st.just(2)),
+    elements=FINITE_EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def as_lists(node):
+    if isinstance(node, np.ndarray):
+        return node.tolist()
+    if isinstance(node, dict):
+        return {k: as_lists(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [as_lists(v) for v in node]
+    return node
+
+
+class TestWriteJson:
+    @settings(max_examples=300, deadline=None)
+    @given(doc=DOCUMENTS, pairs=PAIR_GRIDS)
+    def test_matches_json_dumps_and_decodes_bit_exactly(self, doc, pairs):
+        assert write_json(doc) == json.dumps(as_lists(doc), indent=2) + "\n"
+        z = pairs.view(complex)[..., 0]
+        problems = []
+        back = _decode_matrix(json.loads(write_json(encode_complex_array(z))), "m", problems)
+        assert problems == []
+        # array_equal alone would not see the sign of a zero.
+        assert np.array_equal(back.view(np.float64), z.view(np.float64))
+        assert np.array_equal(np.signbit(back.view(np.float64)), np.signbit(z.view(np.float64)))
+
+
 def dataclass_with_density(scenario, rho):
     import dataclasses
 
@@ -250,10 +301,28 @@ class TestParseErrors:
             assert f"{field}: missing required field" in text
 
     def test_bad_complex_entry_names_the_path(self):
-        doc = json.loads(serialize_scenario(builtin("qutrit-paper")))
-        doc["initial_state"]["vector"][1] = "0.5"
-        with pytest.raises(ValidationError, match=r"initial_state.vector\[1\]"):
-            parse_scenario(json.dumps(doc))
+        pair = "expected a [re, im] number pair, got"
+        cases = [
+            (("initial_state", "vector", 1), "0.5", f"initial_state.vector[1]: {pair} '0.5'"),
+            (("initial_state", "vector", 0), [True, 0],
+             f"initial_state.vector[0]: {pair} [True, 0]"),
+            (("observables", "A", 0, 1), [True, 0], f"observables.A[0][1]: {pair} [True, 0]"),
+            (("observables", "A", 2, 0), [0.5, 0, 0], f"observables.A[2][0]: {pair} [0.5, 0, 0]"),
+            (("observables", "B", 2, 2), None, f"observables.B[2][2]: {pair} None"),
+            (("observables", "C", 1, 0), "1", f"observables.C[1][0]: {pair} '1'"),
+            (("observables", "A", 1), [[0.0, 0.0]],
+             "observables.A: rows have inconsistent lengths"),
+        ]
+        for path, value, message in cases:
+            doc = json.loads(serialize_scenario(builtin("qutrit-paper")))
+            *parents, last = path
+            node = doc
+            for key in parents:
+                node = node[key]
+            node[last] = value
+            with pytest.raises(ValidationError) as err:
+                parse_scenario(json.dumps(doc))
+            assert message in err.value.violations
 
     def test_nonhermitian_observable_names_the_label(self):
         doc = json.loads(serialize_scenario(builtin("qutrit-paper")))
