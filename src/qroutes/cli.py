@@ -94,7 +94,7 @@ def run_scenario(scenario: Scenario, probe: bool = False) -> RunReport:
     )
     probe_results = None
     if probe:
-        probe_results = _probe_cross_check(scenario, registry, initial)
+        probe_results = _probe_cross_check(scenario, registry, initial, comparison)
     duration = time.perf_counter() - start
     return RunReport(
         scenario=scenario,
@@ -105,9 +105,10 @@ def run_scenario(scenario: Scenario, probe: bool = False) -> RunReport:
     )
 
 
-def _probe_cross_check(scenario, registry, initial) -> tuple[dict, ...]:
+def _probe_cross_check(scenario, registry, initial, comparison) -> tuple[dict, ...]:
     # The register model realizes the Lueders semantics, so each route is
-    # checked against its Lueders evaluation whatever rule the report uses.
+    # checked against its Lueders evaluation whatever rule the report uses;
+    # a Lueders route's final state from the comparison is that evaluation.
     if isinstance(scenario.initial_state, np.ndarray):
         vector = scenario.initial_state
     else:
@@ -115,12 +116,12 @@ def _probe_cross_check(scenario, registry, initial) -> tuple[dict, ...]:
             ["initial_state: the probe cross-check needs a vector initial state"]
         )
     results = []
-    for route in scenario.routes:
+    for route, final in zip(scenario.routes, comparison.final_states):
         total = init_total(vector)
         for label in route.steps:
             total = interact(total, registry[label])
         reduced = reduced_system_state(total)
-        reference = run_route(
+        reference = final if route.rule is ProjectionRule.LUDERS else run_route(
             initial, dataclasses.replace(route, rule=ProjectionRule.LUDERS), registry
         )
         deviation = float(np.max(np.abs(reduced.mat - reference.mat)))

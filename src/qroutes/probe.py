@@ -9,13 +9,14 @@ the outcome record of the whole sequence.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import prod
 
 import numpy as np
 
 from .errors import CapacityError, DimensionError, NoStageError, NormalizationError
-from .linalg import MAX_DIM, DensityMatrix, partial_trace
+from .linalg import MAX_DIM, DensityMatrix
 from .measurement import Observable
 
 
@@ -69,28 +70,13 @@ class PointerRegister:
     @property
     def labels(self) -> tuple[str, ...]:
         """Composite label of every register basis state, by flat index."""
-        composites = ["".join(parts) for parts in self._parts_by_index()]
+        parts = [p[::-1] for p in itertools.product(*reversed(self.stage_labels))]
+        composites = ["".join(p) for p in parts]
         if len(set(composites)) != len(composites):
             # multi-character stage names can collide under plain
             # concatenation; fall back to an explicit separator
-            composites = [",".join(parts) for parts in self._parts_by_index()]
+            composites = [",".join(p) for p in parts]
         return tuple(composites)
-
-    def _parts_by_index(self) -> list[tuple[str, ...]]:
-        layout = list(reversed(self.stage_dims))
-        out = []
-        for flat in range(self.dim):
-            rem = flat
-            digits = []
-            for pos, d in enumerate(layout):
-                rest = prod(layout[pos + 1:])
-                digits.append(rem // rest)
-                rem %= rest
-            digits.reverse()  # back to measurement order
-            out.append(
-                tuple(self.stage_labels[s][digit] for s, digit in enumerate(digits))
-            )
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,10 +138,10 @@ def interact(state: TotalState, obs: Observable) -> TotalState:
 
 
 def reduced_system_state(state: TotalState) -> DensityMatrix:
-    """Trace out every pointer register."""
-    full = np.outer(state.vector, state.vector.conj())
+    """Trace out every pointer register, in O(p·s²) without the total density matrix."""
+    blocks = state.vector.reshape(state.probe.dim, state.system_dim)
     return DensityMatrix(
-        partial_trace(full, [state.probe.dim, state.system_dim], keep=1)
+        np.einsum("aij->ij", blocks[:, :, None] * blocks.conj()[:, None, :])
     )
 
 

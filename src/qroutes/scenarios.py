@@ -334,13 +334,19 @@ def _write(node, level: int) -> str:
         if node.dtype.kind == "f" and node.size and np.isfinite(node).all():
             # float repr is the spelling json.dumps uses for finite floats.
             return _array_template(node.shape, pad) % tuple(node.ravel().tolist())
-        node = node.tolist()
+        text = json.dumps(node.tolist(), indent=2)  # .tolist() may nest
     elif isinstance(node, dict) and any(isinstance(v, _NESTED) for v in node.values()):
         return _block("{}", [f"{_key(k)}: {_write(v, level + 1)}" for k, v in node.items()], pad)
     elif isinstance(node, (list, tuple)) and any(isinstance(v, _NESTED) for v in node):
         return _block("[]", [_write(v, level + 1) for v in node], pad)
+    else:
+        # Without indent json.dumps runs the C encoder; the separator puts
+        # each item on its own line, and the brackets get theirs here.
+        text = json.dumps(node, separators=(",\n  ", ": "))
+        if isinstance(node, (dict, list, tuple)) and node:
+            text = f"{text[0]}\n  {text[1:-1]}\n{text[-1]}"
     # JSON text holds no raw newline outside indentation, so this re-indents.
-    return json.dumps(node, indent=2).replace("\n", pad)
+    return text.replace("\n", pad)
 
 
 def write_json(doc) -> str:

@@ -3,14 +3,19 @@
 The analytic forms are written straight from the projector algebra so
 they stay independent of the package's own update implementations. The
 cyclic Jacobi eigensolver is a second oracle next to ``numpy.linalg``: it
-shares no code with the LAPACK routines the package calls.
+shares no code with the LAPACK routines the package calls. The probe
+oracles keep the earlier formulations of the register reduction (the
+dense outer product, traced out) and of the register labels (mixed-radix
+digits of the flat index).
 """
 
 from __future__ import annotations
 
+from math import prod
+
 import numpy as np
 
-from qroutes import DensityMatrix, Route, Scenario
+from qroutes import DensityMatrix, Route, Scenario, partial_trace
 
 _JACOBI_SWEEPS = 60
 
@@ -156,6 +161,28 @@ def jacobi_eigensystem(m: np.ndarray) -> list[tuple[float, np.ndarray]]:
         pairs.append((float(vals[i]), j, vec))
     pairs.sort(key=lambda item: (-item[0], item[1]))
     return [(val, vec) for val, _, vec in pairs]
+
+
+def outer_product_reduction(vector: np.ndarray, probe_dim: int, system_dim: int) -> DensityMatrix:
+    """Reduced system state of a register-system vector via the full outer product."""
+    full = np.outer(vector, vector.conj())
+    return DensityMatrix(partial_trace(full, [probe_dim, system_dim], keep=1))
+
+
+def mixed_radix_parts(stage_dims, stage_labels) -> list[tuple[str, ...]]:
+    """Stage labels of every flat register index, the newest stage varying slowest."""
+    layout = list(reversed(stage_dims))
+    out = []
+    for flat in range(prod(stage_dims)):
+        rem = flat
+        digits = []
+        for pos in range(len(layout)):
+            rest = prod(layout[pos + 1:])
+            digits.append(rem // rest)
+            rem %= rest
+        digits.reverse()  # back to measurement order
+        out.append(tuple(stage_labels[s][digit] for s, digit in enumerate(digits)))
+    return out
 
 
 def degenerate_scenario(seed: int, dim: int = 24) -> Scenario:

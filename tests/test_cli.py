@@ -127,6 +127,17 @@ class TestRunJson:
         assert signals["10"] == pytest.approx(0.5, abs=1e-12)
         assert signals["01"] == pytest.approx(0.5, abs=1e-12)
 
+    def test_probe_under_von_neumann_checks_against_lueders(self, capsys):
+        # The register model realizes the Lueders rule; its reference must
+        # not be the von Neumann final state the report shows.
+        code, out, _ = run_cli(
+            capsys, "run", "qutrit-paper", "--rule", "von-neumann", "--probe", "--format", "json"
+        )
+        assert code == 0
+        for entry in json.loads(out)["probe"]:
+            assert entry["consistent"] is True
+            assert entry["max_abs_deviation"] <= 1e-10
+
     def test_out_writes_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run_cli(

@@ -1,14 +1,27 @@
+import tracemalloc
+from math import prod
+
 import numpy as np
 import pytest
 
-from helpers import dephased, hermitian_with_spectrum, random_state, state_after_direct_c
+from helpers import (
+    dephased,
+    hermitian_with_spectrum,
+    mixed_radix_parts,
+    outer_product_reduction,
+    random_state,
+    random_unitary,
+    state_after_direct_c,
+)
 from qroutes import (
     CapacityError,
     DensityMatrix,
     DimensionError,
     NormalizationError,
     NoStageError,
+    PointerRegister,
     Route,
+    TotalState,
     init_total,
     interact,
     probe_signal_distribution,
@@ -16,6 +29,7 @@ from qroutes import (
     run_route,
     spectral_decompose,
 )
+from qroutes.linalg import MAX_DIM
 
 A = spectral_decompose(np.diag([1, 1, 0]).astype(complex), label="A")
 B = spectral_decompose(np.diag([0, 1, 1]).astype(complex), label="B")
@@ -40,6 +54,26 @@ def fold(state, labels):
     for lab in labels:
         state = interact(state, REGISTRY[lab])
     return state
+
+
+def random_stage_dims(rng, cap):
+    """Seeded register layout: 1 to 10 stages of dimension 1-4, product at most ``cap``."""
+    dims = []
+    for _ in range(rng.integers(1, 11)):
+        d = int(rng.integers(1, 5))
+        if prod(dims) * d > cap:
+            break
+        dims.append(d)
+    return tuple(dims)
+
+
+def index_labels(dims):
+    return tuple(tuple(str(k) for k in range(d)) for d in dims)
+
+
+def assert_bit_identical(x, y):
+    assert x.dtype == y.dtype == complex
+    assert np.array_equal(x.view(np.float64), y.view(np.float64))
 
 
 class TestInitTotal:
@@ -151,6 +185,52 @@ class TestReducedState:
             )
             assert np.abs(reduced_system_state(total).mat - reference.mat).max() <= 1e-10
 
+    def test_matches_outer_product_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(106)
+        for system_dim in range(2, 9):
+            cap = MAX_DIM // system_dim
+            layouts = [random_stage_dims(rng, cap) for _ in range(4)]
+            layouts.append((2,) * (cap.bit_length() - 1))  # fills the register to the cap
+            for dims in layouts:
+                register = PointerRegister(dims, index_labels(dims))
+                vector = random_state(rng, register.dim * system_dim)
+                total = TotalState(vector, register, system_dim)
+                assert_bit_identical(
+                    reduced_system_state(total).mat,
+                    outer_product_reduction(total.vector, register.dim, system_dim).mat,
+                )
+
+    def test_deep_two_qubit_route_matches_oracle_bit_for_bit(self):
+        # Eight ZI/IZ/ZZ stages in a random basis fill 2**8 * 4 = MAX_DIM.
+        rng = np.random.default_rng(107)
+        basis = random_unitary(rng, 4)
+        spectra = {"ZI": [1, 1, -1, -1], "IZ": [1, -1, 1, -1], "ZZ": [1, -1, -1, 1]}
+        registry = {
+            k: spectral_decompose((basis * np.array(v, float)) @ basis.conj().T, label=k)
+            for k, v in spectra.items()
+        }
+        total = init_total(random_state(rng, 4))
+        for label in ("ZI", "ZZ", "IZ", "ZZ", "ZI", "IZ", "IZ", "ZI"):
+            total = interact(total, registry[label])
+        assert total.vector.size == MAX_DIM
+        assert_bit_identical(
+            reduced_system_state(total).mat,
+            outer_product_reduction(total.vector, total.probe.dim, total.system_dim).mat,
+        )
+
+    def test_reduction_never_builds_the_total_density_matrix(self):
+        # The dense (p·s)² outer product at the cap alone is 16 MiB.
+        rng = np.random.default_rng(108)
+        register = PointerRegister((2,) * 8, index_labels((2,) * 8))
+        total = TotalState(random_state(rng, MAX_DIM), register, 4)
+        tracemalloc.start()
+        try:
+            reduced_system_state(total)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestSignalDistribution:
     def test_direct_route_signals(self):
@@ -223,3 +303,22 @@ class TestLabels:
         labels = total.probe.labels
         assert len(set(labels)) == 4
         assert "11,11" in labels
+        parts = mixed_radix_parts(total.probe.stage_dims, total.probe.stage_labels)
+        assert labels == tuple(",".join(p) for p in parts)
+
+    def test_labels_match_mixed_radix_oracle(self):
+        rng = np.random.default_rng(109)
+        pool = ["0", "1", "11", "-1", "0.5", "2", "g0"]
+        fell_back = 0
+        for _ in range(80):
+            dims = random_stage_dims(rng, MAX_DIM)
+            stage_labels = tuple(
+                tuple(str(x) for x in rng.choice(pool, d, replace=False)) for d in dims
+            )
+            parts = mixed_radix_parts(dims, stage_labels)
+            expect = ["".join(p) for p in parts]
+            if len(set(expect)) != len(expect):
+                expect = [",".join(p) for p in parts]
+                fell_back += 1
+            assert PointerRegister(dims, stage_labels).labels == tuple(expect)
+        assert fell_back > 0

@@ -246,6 +246,15 @@ class TestCompareRoutes:
         with pytest.raises(ValueError):
             compare_routes(DensityMatrix.pure(ETA), (Route(steps=("C",)),), REGISTRY, "C")
 
+    def test_unknown_step_raises_before_any_target_warning(self):
+        import warnings
+
+        routes = (Route(steps=("C",)), Route(steps=("A", "X")))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RouteTargetWarning)
+            with pytest.raises(UnknownLabelError, match="route step 'X' is not a registered"):
+                compare_routes(DensityMatrix.pure(ETA), routes, REGISTRY, "C")
+
 
 class TestCounterexampleGeometry:
     def test_direction_vectors_are_orthonormal(self):
