@@ -11,6 +11,7 @@ from .errors import (
     CapacityError,
     DimensionError,
     HermiticityError,
+    InvariantError,
     NonCommutingError,
     NormalizationError,
     NoStageError,
@@ -77,6 +78,7 @@ __all__ = [
     "DimensionError",
     "EigenGroup",
     "HermiticityError",
+    "InvariantError",
     "NonCommutingError",
     "NormalizationError",
     "NoStageError",

@@ -21,6 +21,7 @@ from .errors import (
     CapacityError,
     DimensionError,
     HermiticityError,
+    InvariantError,
     NoStageError,
     NonCommutingError,
     NormalizationError,
@@ -60,8 +61,8 @@ _NUMERIC_ERRORS = (
     ZeroProbabilityError,
     NoStageError,
     NonCommutingError,
-    ArithmeticError,
-    ValueError,
+    InvariantError,
+    np.linalg.LinAlgError,
 )
 
 _PROBE_TOL = 1e-10
@@ -87,6 +88,10 @@ class RunReport:
 def run_scenario(scenario: Scenario, probe: bool = False) -> RunReport:
     """Execute every route of the scenario and compare the final states."""
     start = time.perf_counter()
+    if probe and not isinstance(scenario.initial_state, np.ndarray):
+        raise ValidationError(
+            ["initial_state: the probe cross-check needs a vector initial state"]
+        )
     registry = scenario.observable_registry()
     initial = scenario.initial_density()
     comparison = _compare_routes(
@@ -109,15 +114,10 @@ def _probe_cross_check(scenario, registry, initial, comparison) -> tuple[dict, .
     # The register model realizes the Lueders semantics, so each route is
     # checked against its Lueders evaluation whatever rule the report uses;
     # a Lueders route's final state from the comparison is that evaluation.
-    if isinstance(scenario.initial_state, np.ndarray):
-        vector = scenario.initial_state
-    else:
-        raise ValidationError(
-            ["initial_state: the probe cross-check needs a vector initial state"]
-        )
+    # run_scenario has already refused a density-matrix initial state.
     results = []
     for route, final in zip(scenario.routes, comparison.final_states):
-        total = init_total(vector)
+        total = init_total(scenario.initial_state)
         for label in route.steps:
             total = interact(total, registry[label])
         reduced = reduced_system_state(total)
@@ -343,8 +343,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: parse_args reads it without changing it, so
+# repeated in-process calls of main share it.
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     return args.func(args)
 
 

@@ -17,6 +17,12 @@ class HermiticityError(QRoutesError):
     """A matrix required to be Hermitian is not, within tolerance."""
 
 
+class InvariantError(QRoutesError, ValueError):
+    """A ``DensityMatrix`` or ``Observable`` invariant does not hold: a
+    state's trace or positivity, or an eigenvalue grouping's order, sizes,
+    projectors, orthonormality, completeness or reconstruction."""
+
+
 class AmbiguousGroupingError(QRoutesError):
     """Eigenvalue spacing falls inside the undecidable band around the
     grouping tolerance, so degenerate clusters cannot be formed reliably."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError, HermiticityError
+from .errors import CapacityError, DimensionError, HermiticityError, InvariantError
 
 # Composite spaces beyond this are refused rather than silently built.
 MAX_DIM = 1024
@@ -23,7 +23,7 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise DimensionError("matrix contains non-finite entries")
     return a
 
@@ -78,13 +78,21 @@ def partial_trace(m, dims, keep: int) -> np.ndarray:
 
 def hermiticity_defect(m) -> float:
     """Max-norm distance from a matrix to its own adjoint."""
-    m = as_matrix(m)
-    return float(np.max(np.abs(m - m.conj().T), initial=0.0))
+    return _defect(as_matrix(m))
 
 
 def hermitian_part(m) -> np.ndarray:
     """Project onto the Hermitian part, (m + m†)/2."""
-    m = as_matrix(m)
+    return _hermitian_part(as_matrix(m))
+
+
+# The two helpers below take a matrix ``as_matrix`` has already coerced, so
+# a validating caller coerces its input once.
+def _defect(m: np.ndarray) -> float:
+    return float(abs(m - m.conj().T).max(initial=0.0))
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
@@ -99,15 +107,15 @@ def hermitian_eigendecomposition(m, tol: float = 1e-10) -> list[tuple[float, np.
     Raises HermiticityError when ``max |m - m†| > tol``.
     """
     m = as_matrix(m)
-    defect = hermiticity_defect(m)
+    defect = _defect(m)
     if defect > tol:
         raise HermiticityError(f"max |m - m†| = {defect:.3e} exceeds tolerance {tol:.3e}")
-    vals, vecs = np.linalg.eigh(hermitian_part(m))
+    vals, vecs = np.linalg.eigh(_hermitian_part(m))
     if vals.size == 0:
         return []
     mags = np.abs(vecs)
     # first component above 1e-8 of the column's largest one
-    lead = np.argmax(mags > 1e-8 * mags.max(axis=0), axis=0)
+    lead = (mags > 1e-8 * mags.max(axis=0)).argmax(axis=0)
     cols = np.arange(vals.size)
     vecs = vecs * (mags[lead, cols] / vecs[lead, cols])
     order = np.lexsort((lead, -vals))
@@ -120,25 +128,26 @@ class DensityMatrix:
     """A validated quantum state: Hermitian, unit trace, positive.
 
     Construction rejects anything violating those invariants within 1e-10
-    (eigenvalues may dip to -1e-10 from rounding).
+    (eigenvalues may dip to -1e-10 from rounding): HermiticityError for the
+    adjoint, InvariantError for the trace and positivity.
     """
 
     mat: np.ndarray
 
     def __post_init__(self):
         m = as_matrix(self.mat)
-        defect = hermiticity_defect(m)
+        defect = _defect(m)
         if defect > 1e-10:
             raise HermiticityError(
                 f"density matrix not Hermitian: max |m - m†| = {defect:.3e}"
             )
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"density matrix trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        m = hermitian_part(m)
+            raise InvariantError(f"density matrix trace deviates from 1 by {abs(tr - 1.0):.3e}")
+        m = _hermitian_part(m)
         low = float(np.linalg.eigvalsh(m)[0])
         if low < -1e-10:
-            raise ValueError(f"density matrix has negative eigenvalue {low:.3e}")
+            raise InvariantError(f"density matrix has negative eigenvalue {low:.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
 

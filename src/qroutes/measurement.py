@@ -15,11 +15,17 @@ degenerate eigenspace.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousGroupingError, DimensionError, ZeroProbabilityError
+from .errors import (
+    AmbiguousGroupingError,
+    DimensionError,
+    InvariantError,
+    ZeroProbabilityError,
+)
 from .linalg import DensityMatrix, as_matrix, hermitian_eigendecomposition
 
 
@@ -53,8 +59,9 @@ class Observable:
     Groups are ordered by descending eigenvalue. Invariants (distinct
     eigenvalues, degeneracies summing to the dimension, projector
     completeness, reconstruction of the matrix) are checked on
-    construction; build instances through ``spectral_decompose`` unless a
-    specific intra-eigenspace basis is wanted.
+    construction, each failure raising InvariantError; build instances
+    through ``spectral_decompose`` unless a specific intra-eigenspace basis
+    is wanted.
     """
 
     matrix: np.ndarray
@@ -65,32 +72,38 @@ class Observable:
         m = as_matrix(self.matrix)
         dim = m.shape[0]
         if not self.groups:
-            raise ValueError("observable needs at least one eigenvalue group")
+            raise InvariantError("observable needs at least one eigenvalue group")
         vals = [g.eigenvalue for g in self.groups]
         if any(a <= b for a, b in zip(vals, vals[1:])):
-            raise ValueError(f"group eigenvalues must strictly decrease, got {vals}")
-        if sum(g.degeneracy for g in self.groups) != dim:
-            raise ValueError("group degeneracies must sum to the dimension")
-        for g in self.groups:
-            if g.degeneracy != len(g.basis):
-                raise ValueError("degeneracy disagrees with the stored basis size")
-            if abs(np.trace(g.projector).real - g.degeneracy) > 1e-8:
-                raise ValueError("projector trace disagrees with the degeneracy")
-            basis = np.array(g.basis)
-            rebuilt = basis.T @ basis.conj()
-            if np.max(np.abs(rebuilt - g.projector)) > 1e-10:
-                raise ValueError("stored basis does not span the group projector")
+            raise InvariantError(f"group eigenvalues must strictly decrease, got {vals}")
+        degs = [g.degeneracy for g in self.groups]
+        if sum(degs) != dim:
+            raise InvariantError("group degeneracies must sum to the dimension")
+        if any(d != len(g.basis) for d, g in zip(degs, self.groups)):
+            raise InvariantError("degeneracy disagrees with the stored basis size")
+        projectors = np.array([g.projector for g in self.groups])
+        if (abs(projectors.trace(axis1=1, axis2=2).real - degs) > 1e-8).any():
+            raise InvariantError("projector trace disagrees with the degeneracy")
+        # Every basis vector as a row, group after group: group i owns the
+        # rows starts[i]:starts[i + 1]. The span check runs one product
+        # per group so its temporaries stay n x n; a batched product would
+        # allocate G x n x n at once.
+        basis = np.array([v for g in self.groups for v in g.basis])
+        starts = [0, *itertools.accumulate(degs)]
+        for projector, a, b in zip(projectors, starts, starts[1:]):
+            rows = basis[a:b]
+            if abs(rows.T @ rows.conj() - projector).max() > 1e-10:
+                raise InvariantError("stored basis does not span the group projector")
         # Orthonormality of the stacked basis implies projector idempotence
         # and pairwise orthogonality in one pass.
-        stacked = np.column_stack([v for g in self.groups for v in g.basis])
-        if np.max(np.abs(stacked.conj().T @ stacked - np.eye(dim))) > 1e-10:
-            raise ValueError("eigenbasis is not orthonormal")
-        complete = sum(g.projector for g in self.groups)
-        if np.max(np.abs(complete - np.eye(dim))) > 1e-10:
-            raise ValueError("eigenspace projectors do not sum to the identity")
-        rebuilt = sum(g.eigenvalue * g.projector for g in self.groups)
-        if np.max(np.abs(rebuilt - m)) > 1e-10:
-            raise ValueError(
+        eye = np.eye(dim)
+        if abs(basis.conj() @ basis.T - eye).max() > 1e-10:
+            raise InvariantError("eigenbasis is not orthonormal")
+        if abs(projectors.sum(axis=0) - eye).max() > 1e-10:
+            raise InvariantError("eigenspace projectors do not sum to the identity")
+        rebuilt = np.tensordot(vals, projectors, axes=1)
+        if abs(rebuilt - m).max() > 1e-10:
+            raise InvariantError(
                 "groups do not reconstruct the observable matrix; "
                 "the eigenvalue grouping may be too coarse"
             )
@@ -114,27 +127,29 @@ def spectral_decompose(m, group_tol: float = 1e-8, *, label: str = "") -> Observ
     """
     m = as_matrix(m)
     pairs = hermitian_eigendecomposition(m)
-    clusters: list[list[tuple[float, np.ndarray]]] = [[pairs[0]]]
-    for prev, cur in zip(pairs, pairs[1:]):
-        gap = prev[0] - cur[0]
-        if group_tol < gap < 10.0 * group_tol:
-            raise AmbiguousGroupingError(
-                f"eigenvalue gap {gap:.3e} falls inside ({group_tol:.3e}, {10 * group_tol:.3e})"
-            )
-        if gap <= group_tol:
-            clusters[-1].append(cur)
-        else:
-            clusters.append([cur])
+    if not pairs:
+        raise DimensionError("cannot decompose an empty matrix")
+    vals = np.array([val for val, _ in pairs])
+    vecs = np.array([vec for _, vec in pairs])
+    gaps = vals[:-1] - vals[1:]
+    split = gaps > group_tol
+    ambiguous = split & (gaps < 10.0 * group_tol)
+    if ambiguous.any():
+        gap = float(gaps[ambiguous.argmax()])  # the first, in descending order
+        raise AmbiguousGroupingError(
+            f"eigenvalue gap {gap:.3e} falls inside ({group_tol:.3e}, {10 * group_tol:.3e})"
+        )
+    bounds = [0, *(split.nonzero()[0] + 1).tolist(), len(vals)]
     groups = []
-    for cluster in clusters:
-        vecs = np.array([vec for _, vec in cluster])
-        projector = vecs.T @ vecs.conj()
+    for a, b in zip(bounds, bounds[1:]):
+        block = vecs[a:b]
+        projector = block.T @ block.conj()
         groups.append(
             EigenGroup(
-                eigenvalue=float(np.mean([val for val, _ in cluster])),
-                degeneracy=len(cluster),
+                eigenvalue=float(vals[a:b].sum() / (b - a)),  # np.mean, bit for bit
+                degeneracy=b - a,
                 projector=projector,
-                basis=_eigenspace_basis(projector, len(cluster)),
+                basis=_eigenspace_basis(projector, b - a),
             )
         )
     return Observable(matrix=m, groups=tuple(groups), label=label)
@@ -152,16 +167,19 @@ def _eigenspace_basis(projector: np.ndarray, degeneracy: int) -> tuple[np.ndarra
     """
     n = projector.shape[0]
     q = np.zeros((degeneracy, n), dtype=complex)
+    q_conj = np.zeros_like(q)  # q.conj(), kept row by row
     k = 0
     for col in projector.T:
         if k == degeneracy:
             break
         r = col.copy()
-        for _ in range(2):
-            r -= q[:k].T @ (q[:k].conj() @ r)
+        if k:  # with nothing kept yet the projection is an exact zero
+            for _ in range(2):
+                r -= q[:k].T @ (q_conj[:k] @ r)
         norm2 = float(np.vdot(r, r).real)
         if norm2 > 0.5 / n:
             q[k] = r / np.sqrt(norm2)
+            q_conj[k] = q[k].conj()
             k += 1
     return tuple(q)
 

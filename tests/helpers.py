@@ -6,7 +6,8 @@ cyclic Jacobi eigensolver is a second oracle next to ``numpy.linalg``: it
 shares no code with the LAPACK routines the package calls. The probe
 oracles keep the earlier formulations of the register reduction (the
 dense outer product, traced out) and of the register labels (mixed-radix
-digits of the flat index).
+digits of the flat index); ``loop_spectral_groups`` keeps the earlier
+pair-by-pair grouping of an eigensystem.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from math import prod
 
 import numpy as np
 
-from qroutes import DensityMatrix, Route, Scenario, partial_trace
+from qroutes import DensityMatrix, Route, Scenario, hermitian_eigendecomposition, partial_trace
 
 _JACOBI_SWEEPS = 60
 
@@ -183,6 +184,40 @@ def mixed_radix_parts(stage_dims, stage_labels) -> list[tuple[str, ...]]:
         digits.reverse()  # back to measurement order
         out.append(tuple(stage_labels[s][digit] for s, digit in enumerate(digits)))
     return out
+
+
+def loop_spectral_groups(m: np.ndarray, group_tol: float = 1e-8) -> list[tuple]:
+    """``(eigenvalue, degeneracy, projector, basis)`` per group, grouped
+    pair by pair as ``spectral_decompose`` once did (no ambiguity check):
+    each cluster's vectors stacked on their own, its eigenvalue the
+    ``np.mean`` of a list, and Gram-Schmidt recomputing ``q[:k].conj()``
+    for every column."""
+    pairs = hermitian_eigendecomposition(m)
+    clusters = [[pairs[0]]]
+    for prev, cur in zip(pairs, pairs[1:]):
+        if prev[0] - cur[0] <= group_tol:
+            clusters[-1].append(cur)
+        else:
+            clusters.append([cur])
+    groups = []
+    for cluster in clusters:
+        vecs = np.array([vec for _, vec in cluster])
+        projector = vecs.T @ vecs.conj()
+        n, k = projector.shape[0], 0
+        q = np.zeros((len(cluster), n), dtype=complex)
+        for col in projector.T:
+            if k == len(cluster):
+                break
+            r = col.copy()
+            for _ in range(2):
+                r -= q[:k].T @ (q[:k].conj() @ r)
+            norm2 = float(np.vdot(r, r).real)
+            if norm2 > 0.5 / n:
+                q[k] = r / np.sqrt(norm2)
+                k += 1
+        mean = float(np.mean([val for val, _ in cluster]))
+        groups.append((mean, len(cluster), projector, tuple(q)))
+    return groups
 
 
 def degenerate_scenario(seed: int, dim: int = 24) -> Scenario:

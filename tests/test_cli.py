@@ -9,7 +9,7 @@ import pytest
 
 import qroutes
 from helpers import degenerate_scenario
-from qroutes import builtin, serialize_scenario
+from qroutes import Scenario, builtin, cli, serialize_scenario
 from qroutes.cli import main, render_machine, run_scenario
 
 AMP = "0.7071067811865476,0,0.7071067811865476"
@@ -310,3 +310,138 @@ class TestValidateAgreesWithRun:
         code, out, err = run_cli(capsys, command, str(path))
         assert code == 2
         assert out == ""
+
+
+def _scenario_file(tmp_path, edit):
+    doc = json.loads(serialize_scenario(builtin("qutrit-paper")))
+    edit(doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _mixed_initial_state(doc):
+    v = np.array([complex(re, im) for re, im in doc["initial_state"]["vector"]])
+    rho = np.outer(v, v.conj())
+    doc["initial_state"] = {"density_matrix": [[[z.real, z.imag] for z in row] for row in rho]}
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("work started before the probe refusal")
+
+
+class TestProbeRefusal:
+    def test_mixed_state_is_refused_before_any_work(self, capsys, tmp_path, monkeypatch):
+        path = _scenario_file(tmp_path, _mixed_initial_state)
+        monkeypatch.setattr(cli, "_compare_routes", _forbidden)
+        monkeypatch.setattr(Scenario, "observable_registry", _forbidden)
+        code, out, err = run_cli(capsys, "run", path, "--probe")
+        assert code == 2
+        assert out == ""
+        assert err == "error: initial_state: the probe cross-check needs a vector initial state\n"
+
+    def test_mixed_state_runs_without_probe(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "run", _scenario_file(tmp_path, _mixed_initial_state))
+        assert code == 0
+        assert err == ""
+        assert "DISTINCT" in out
+
+
+def _raise(exc):
+    def broken(*args, **kwargs):
+        raise exc
+
+    return broken
+
+
+def _coarse_grouping(doc):
+    # Eigenvalues 1, 5e-9, 0: the last two merge (gap <= 1e-8), and the
+    # merged group cannot reconstruct the matrix.
+    doc["observables"]["A"] = [
+        [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+        [[0.0, 0.0], [5e-9, 0.0], [0.0, 0.0]],
+        [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+    ]
+
+
+class TestExitCodes:
+    """Exit 3 is kept for numerical invariants; anything else propagates."""
+
+    @pytest.mark.parametrize("exc", [ValueError("a plain ValueError"), ZeroDivisionError("a plain ZeroDivisionError")])
+    def test_unforeseen_error_propagates(self, monkeypatch, exc):
+        monkeypatch.setattr(cli, "_compare_routes", _raise(exc))
+        with pytest.raises(type(exc), match=str(exc)):
+            main(["run", "qutrit-paper"])
+
+    def test_linalg_error_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_compare_routes", _raise(np.linalg.LinAlgError("no convergence")))
+        code, out, err = run_cli(capsys, "run", "qutrit-paper")
+        assert code == 3
+        assert err == "numerical invariant violation: no convergence\n"
+
+    def test_reconstruction_failure_exits_3(self, capsys, tmp_path):
+        path = _scenario_file(tmp_path, _coarse_grouping)
+        assert run_cli(capsys, "validate", path)[0] == 0
+        code, out, err = run_cli(capsys, "run", path)
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "numerical invariant violation: groups do not reconstruct the observable "
+            "matrix; the eigenvalue grouping may be too coarse\n"
+        )
+
+
+def _report(*options, probe=False):
+    scenario = builtin("qutrit-paper")
+    for option in options:
+        scenario = option(scenario)
+    return render_machine(run_scenario(scenario, probe=probe))
+
+
+class TestRepeatedMain:
+    """main reuses one parser; no option of one call reaches the next."""
+
+    def test_parser_is_not_rebuilt(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_build_parser", _forbidden)
+        assert run_cli(capsys, "run", "qutrit-paper")[0] == 0
+        assert run_cli(capsys, "list")[0] == 0
+
+    def test_probe_then_no_probe(self, capsys):
+        _, first, _ = run_cli(capsys, "run", "qutrit-paper", "--probe", "--format", "json")
+        _, second, _ = run_cli(capsys, "run", "qutrit-paper", "--format", "json")
+        assert first == _report(probe=True)
+        assert second == _report()
+
+    def test_rule_then_default(self, capsys):
+        von_neumann = lambda s: s.with_rule(qroutes.ProjectionRule.VON_NEUMANN)
+        _, first, _ = run_cli(capsys, "run", "qutrit-paper", "--rule", "von-neumann", "--format", "json")
+        _, second, _ = run_cli(capsys, "run", "qutrit-paper", "--format", "json")
+        assert first == _report(von_neumann)
+        assert second == _report()
+
+    def test_out_then_stdout(self, capsys, tmp_path):
+        target = tmp_path / "report.json"
+        code, first, _ = run_cli(capsys, "run", "qutrit-paper", "--format", "json", "--out", str(target))
+        assert (code, first) == (0, "")
+        written = target.read_text()
+        code, second, _ = run_cli(capsys, "run", "qutrit-paper", "--format", "json")
+        assert code == 0
+        assert second == written == _report()
+        assert target.read_text() == written
+
+    def test_failed_state_then_good_run(self, capsys):
+        code, out, err = run_cli(capsys, "run", "qutrit-paper", "--state", "1,zebra,0", "--format", "json")
+        assert (code, out) == (2, "")
+        assert "--state" in err
+        code, out, err = run_cli(capsys, "run", "qutrit-paper", "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == _report()
+
+    def test_usage_error_then_good_run(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["run", "qutrit-paper", "--rule", "bogus"])
+        assert caught.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run_cli(capsys, "run", "qutrit-paper", "--format", "json")
+        assert code == 0
+        assert out == _report()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from qroutes import (
     DensityMatrix,
     DimensionError,
     HermiticityError,
+    InvariantError,
     adjoint,
     hermitian_eigendecomposition,
     matmul,
@@ -238,6 +241,18 @@ class TestDensityMatrix:
 
     def test_tolerates_tiny_negative_eigenvalue(self):
         DensityMatrix(np.diag([1 + 5e-11, -5e-11]).astype(complex))
+
+    @pytest.mark.parametrize(
+        "diagonal, message",
+        [
+            ([1.0, 1.0], "density matrix trace deviates from 1 by 1.000e+00"),
+            ([1.5, -0.5], "density matrix has negative eigenvalue -5.000e-01"),
+        ],
+    )
+    def test_invariant_failures_are_invariant_errors(self, diagonal, message):
+        with pytest.raises(InvariantError, match=f"^{re.escape(message)}$") as caught:
+            DensityMatrix(np.diag(diagonal).astype(complex))
+        assert isinstance(caught.value, ValueError)
 
 
 class TestTraceDistance:

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from helpers import (
     dephased,
     hermitian_with_spectrum,
     jacobi_eigensystem,
+    loop_spectral_groups,
     random_density,
     random_state,
     random_unitary,
@@ -18,6 +20,8 @@ from qroutes import (
     AmbiguousGroupingError,
     DensityMatrix,
     DimensionError,
+    EigenGroup,
+    InvariantError,
     Observable,
     ProjectionRule,
     ZeroProbabilityError,
@@ -79,6 +83,10 @@ class TestSpectralDecompose:
         recon = sum(g.eigenvalue * g.projector for g in obs.groups)
         assert np.allclose(recon, m, atol=1e-8)
 
+    def test_empty_matrix_is_refused(self):
+        with pytest.raises(DimensionError, match="cannot decompose an empty matrix"):
+            spectral_decompose(np.zeros((0, 0), dtype=complex))
+
     def test_gap_inside_ambiguity_band_raises(self):
         m = np.diag([0.0, 5e-8]).astype(complex)
         with pytest.raises(AmbiguousGroupingError):
@@ -98,6 +106,29 @@ class TestSpectralDecompose:
         m = np.diag([0.0, 1.5e-10]).astype(complex)
         assert len(spectral_decompose(m, group_tol=1e-9).groups) == 1
         assert len(spectral_decompose(m, group_tol=1e-11).groups) == 2
+
+    def test_matches_loop_oracle_bit_for_bit(self):
+        # Seeded spectra with clusters of 1 to 12 equal eigenvalues (the
+        # mean of 8 or more sums pairwise), merge-level jitter, and
+        # axis-aligned eigenspaces whose projectors hold exact and signed
+        # zeros; every float must match the loop formulation bit for bit.
+        rng = np.random.default_rng(2024)
+        for trial in range(120):
+            levels = rng.normal(size=int(rng.integers(1, 5))) * 3
+            spectrum = np.repeat(levels, rng.integers(1, 13, size=levels.size))
+            spectrum = rng.permutation(spectrum) + rng.normal(size=spectrum.size) * 1e-12 * (trial % 3)
+            n = spectrum.size
+            u = np.eye(n) if trial % 4 == 0 else random_unitary(rng, n)
+            m = (u * spectrum) @ u.conj().T
+            m = (m + m.conj().T) / 2
+            obs = spectral_decompose(m)
+            expected = loop_spectral_groups(m)
+            assert len(obs.groups) == len(expected)
+            for g, (value, degeneracy, projector, basis) in zip(obs.groups, expected):
+                assert np.float64(g.eigenvalue).tobytes() == np.float64(value).tobytes()
+                assert g.degeneracy == degeneracy
+                assert g.projector.tobytes() == projector.tobytes()
+                assert np.array(g.basis).tobytes() == np.array(basis).tobytes()
 
     def test_merging_a_wide_real_gap_is_rejected(self):
         # Gaps below group_tol but far above eigensolver noise cannot be
@@ -121,6 +152,104 @@ class TestObservableValidation:
         good = spectral_decompose(A)
         with pytest.raises(ValueError):
             Observable(matrix=B, groups=good.groups)
+
+
+E = np.eye(3, dtype=complex)
+
+
+def _group(value, vectors, projector=None):
+    """An eigenvalue group over the given basis vectors; its projector is
+    built from them unless one is given."""
+    basis = tuple(np.asarray(v, dtype=complex) for v in vectors)
+    if projector is None:
+        projector = sum(np.outer(v, v.conj()) for v in basis)
+    return EigenGroup(value, len(basis), projector, basis)
+
+
+def _good_groups():
+    return [_group(1.0, [E[0], E[1]]), _group(0.0, [E[2]])]
+
+
+def _basis_too_short():
+    g = _good_groups()
+    g[0] = EigenGroup(1.0, 2, g[0].projector, g[0].basis[:1])
+    return g
+
+
+def _projector_trace_off():
+    g = _good_groups()
+    g[1] = _group(0.0, [E[2]], projector=2 * np.outer(E[2], E[2]))
+    return g
+
+
+def _projector_off_its_basis():
+    # Trace 2 as required, but the range is span(e0, e2), not span(e0, e1).
+    g = _good_groups()
+    g[0] = _group(1.0, [E[0], E[1]], projector=np.diag([1, 0, 1]).astype(complex))
+    return g
+
+
+def _projector_just_off_its_basis():
+    # 2e-10 off in one entry: inside the trace check's 1e-8, outside 1e-10.
+    g = _good_groups()
+    g[0] = _group(1.0, [E[0], E[1]], projector=np.diag([1 + 2e-10, 1, 0]).astype(complex))
+    return g
+
+
+def _overlapping_groups():
+    # Each group's basis spans its projector, but e0 sits in both groups.
+    return [_group(1.0, [E[0]]), _group(0.0, [E[0], E[1]])]
+
+
+def _projectors_off_identity():
+    # Three rank-one groups, each projector 0.9e-10 off its basis in the
+    # (0, 0) entry: every per-group check passes, their sum misses the
+    # identity by 2.7e-10.
+    bump = np.zeros((3, 3), dtype=complex)
+    bump[0, 0] = 0.9e-10
+    return [
+        _group(v, [e], projector=np.outer(e, e) + bump) for v, e in zip((2.0, 1.0, 0.0), E)
+    ]
+
+
+class TestObservableMessages:
+    """Every invariant check of ``Observable`` with its exact message."""
+
+    @pytest.mark.parametrize(
+        "make_groups, matrix, message",
+        [
+            (lambda: [], A, "observable needs at least one eigenvalue group"),
+            (lambda: _good_groups()[::-1], A, "group eigenvalues must strictly decrease, got [0.0, 1.0]"),
+            (lambda: _good_groups()[:1], A, "group degeneracies must sum to the dimension"),
+            (_basis_too_short, A, "degeneracy disagrees with the stored basis size"),
+            (_projector_trace_off, A, "projector trace disagrees with the degeneracy"),
+            (_projector_off_its_basis, A, "stored basis does not span the group projector"),
+            (_projector_just_off_its_basis, A, "stored basis does not span the group projector"),
+            (_overlapping_groups, A, "eigenbasis is not orthonormal"),
+            (_projectors_off_identity, np.diag([2, 1, 0]).astype(complex), "eigenspace projectors do not sum to the identity"),
+            (_good_groups, B, "groups do not reconstruct the observable matrix; the eigenvalue grouping may be too coarse"),
+        ],
+        ids=[
+            "empty", "unsorted", "degeneracy-sum", "basis-size", "projector-trace",
+            "basis-spans-projector", "basis-spans-projector-2e-10", "orthonormality", "completeness", "reconstruction",
+        ],
+    )
+    def test_message(self, make_groups, matrix, message):
+        with pytest.raises(InvariantError, match=f"^{re.escape(message)}$") as caught:
+            Observable(matrix=matrix, groups=tuple(make_groups()))
+        assert isinstance(caught.value, ValueError)
+
+    def test_good_groups_pass(self):
+        obs = Observable(matrix=A, groups=tuple(_good_groups()))
+        assert obs.eigenvalues == (1.0, 0.0)
+
+    def test_just_inside_every_threshold_passes(self):
+        # One projector 0.9e-10 off its basis passes the span, completeness
+        # and reconstruction checks: their thresholds stay at 1e-10.
+        bump = np.zeros((3, 3), dtype=complex)
+        bump[0, 0] = 0.9e-10
+        groups = [_group(1.0, [E[0], E[1]], projector=np.diag([1, 1, 0]) + bump), _group(0.0, [E[2]])]
+        Observable(matrix=A + bump, groups=tuple(groups))
 
 
 class TestLudersUpdate:
