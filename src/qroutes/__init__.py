@@ -24,11 +24,7 @@ from .errors import (
 )
 from .linalg import (
     DensityMatrix,
-    adjoint,
     hermitian_eigendecomposition,
-    matmul,
-    partial_trace,
-    tensor,
     trace_distance,
 )
 from .measurement import (
@@ -96,7 +92,6 @@ __all__ = [
     "ValidationError",
     "Verdict",
     "ZeroProbabilityError",
-    "adjoint",
     "apply_rule",
     "builtin",
     "builtin_descriptions",
@@ -107,8 +102,6 @@ __all__ = [
     "init_total",
     "interact",
     "luders_update",
-    "matmul",
-    "partial_trace",
     "parse_scenario",
     "probe_signal_distribution",
     "product_observable",
@@ -117,7 +110,6 @@ __all__ = [
     "selective_outcome",
     "serialize_scenario",
     "spectral_decompose",
-    "tensor",
     "trace_distance",
     "von_neumann_update",
 ]

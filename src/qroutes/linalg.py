@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError, HermiticityError, InvariantError
+from .errors import DimensionError, HermiticityError, InvariantError
 
 # Composite spaces beyond this are refused rather than silently built.
 MAX_DIM = 1024
@@ -28,62 +28,9 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of two operators on the same space."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise DimensionError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a @ b
-
-
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(m).conj().T
-
-
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product; the left factor indexes the coarse blocks."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    dim = a.shape[0] * b.shape[0]
-    if dim > MAX_DIM:
-        raise CapacityError(f"composite dimension {dim} exceeds the {MAX_DIM} limit")
-    return np.kron(a, b)
-
-
-def partial_trace(m, dims, keep: int) -> np.ndarray:
-    """Trace out every tensor factor except ``dims[keep]``.
-
-    ``dims`` lists the factor dimensions of the space ``m`` acts on, in
-    tensor order (left factor first).
-    """
-    m = as_matrix(m)
-    dims = [int(d) for d in dims]
-    if any(d < 1 for d in dims):
-        raise DimensionError(f"factor dimensions must be positive, got {dims}")
-    total = int(np.prod(dims))
-    if total != m.shape[0]:
-        raise DimensionError(
-            f"factor dimensions {dims} give {total}, matrix has dimension {m.shape[0]}"
-        )
-    if not 0 <= keep < len(dims):
-        raise DimensionError(f"keep index {keep} out of range for {len(dims)} factors")
-    pre = int(np.prod(dims[:keep], initial=1))
-    d = dims[keep]
-    post = int(np.prod(dims[keep + 1:], initial=1))
-    t = m.reshape(pre, d, post, pre, d, post)
-    return np.einsum("aibajb->ij", t)
-
-
 def hermiticity_defect(m) -> float:
     """Max-norm distance from a matrix to its own adjoint."""
     return _defect(as_matrix(m))
-
-
-def hermitian_part(m) -> np.ndarray:
-    """Project onto the Hermitian part, (m + m†)/2."""
-    return _hermitian_part(as_matrix(m))
 
 
 # The two helpers below take a matrix ``as_matrix`` has already coerced, so

@@ -69,7 +69,7 @@ class Observable:
     label: str = ""
 
     def __post_init__(self):
-        m = as_matrix(self.matrix)
+        m = as_matrix(self.matrix).copy()  # frozen below; the caller's array stays writable
         dim = m.shape[0]
         if not self.groups:
             raise InvariantError("observable needs at least one eigenvalue group")
@@ -107,6 +107,8 @@ class Observable:
                 "groups do not reconstruct the observable matrix; "
                 "the eigenvalue grouping may be too coarse"
             )
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:

@@ -104,9 +104,6 @@ class TotalState:
 def init_total(system) -> TotalState:
     """Total state before any measurement: no registers, just the system."""
     v = np.asarray(system, dtype=complex).reshape(-1)
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-10:
-        raise NormalizationError(f"norm deviates from 1 by {abs(norm - 1.0):.3e}")
     return TotalState(vector=v.copy(), probe=PointerRegister(), system_dim=v.size)
 
 

@@ -131,14 +131,6 @@ class Scenario:
         return dataclasses.replace(self, tolerance=tolerance)
 
 
-def _qutrit_routes(rule: ProjectionRule) -> tuple[Route, ...]:
-    return (
-        Route(("C",), rule, "C"),
-        Route(("A", "B"), rule, "AB"),
-        Route(("B", "A"), rule, "BA"),
-    )
-
-
 def _build_qutrit() -> Scenario:
     return Scenario(
         name="qutrit-paper",
@@ -149,7 +141,11 @@ def _build_qutrit() -> Scenario:
             "B": np.diag([0.0, 1.0, 1.0]).astype(complex),
             "C": np.diag([0.0, 1.0, 0.0]).astype(complex),
         },
-        routes=_qutrit_routes(ProjectionRule.LUDERS),
+        routes=(
+            Route(("C",), ProjectionRule.LUDERS, "C"),
+            Route(("A", "B"), ProjectionRule.LUDERS, "AB"),
+            Route(("B", "A"), ProjectionRule.LUDERS, "BA"),
+        ),
         target="C",
     )
 

@@ -5,9 +5,9 @@ they stay independent of the package's own update implementations. The
 cyclic Jacobi eigensolver is a second oracle next to ``numpy.linalg``: it
 shares no code with the LAPACK routines the package calls. The probe
 oracles keep the earlier formulations of the register reduction (the
-dense outer product, traced out) and of the register labels (mixed-radix
-digits of the flat index); ``loop_spectral_groups`` keeps the earlier
-pair-by-pair grouping of an eigensystem.
+dense outer product, traced out by ``partial_trace``) and of the register
+labels (mixed-radix digits of the flat index); ``loop_spectral_groups``
+keeps the earlier pair-by-pair grouping of an eigensystem.
 """
 
 from __future__ import annotations
@@ -16,7 +16,14 @@ from math import prod
 
 import numpy as np
 
-from qroutes import DensityMatrix, Route, Scenario, hermitian_eigendecomposition, partial_trace
+from qroutes import (
+    DensityMatrix,
+    DimensionError,
+    Route,
+    Scenario,
+    hermitian_eigendecomposition,
+)
+from qroutes.linalg import as_matrix
 
 _JACOBI_SWEEPS = 60
 
@@ -162,6 +169,30 @@ def jacobi_eigensystem(m: np.ndarray) -> list[tuple[float, np.ndarray]]:
         pairs.append((float(vals[i]), j, vec))
     pairs.sort(key=lambda item: (-item[0], item[1]))
     return [(val, vec) for val, _, vec in pairs]
+
+
+def partial_trace(m, dims, keep: int) -> np.ndarray:
+    """Trace out every tensor factor except ``dims[keep]``.
+
+    ``dims`` lists the factor dimensions of the space ``m`` acts on, in
+    tensor order (left factor first).
+    """
+    m = as_matrix(m)
+    dims = [int(d) for d in dims]
+    if any(d < 1 for d in dims):
+        raise DimensionError(f"factor dimensions must be positive, got {dims}")
+    total = int(np.prod(dims))
+    if total != m.shape[0]:
+        raise DimensionError(
+            f"factor dimensions {dims} give {total}, matrix has dimension {m.shape[0]}"
+        )
+    if not 0 <= keep < len(dims):
+        raise DimensionError(f"keep index {keep} out of range for {len(dims)} factors")
+    pre = int(np.prod(dims[:keep], initial=1))
+    d = dims[keep]
+    post = int(np.prod(dims[keep + 1:], initial=1))
+    t = m.reshape(pre, d, post, pre, d, post)
+    return np.einsum("aibajb->ij", t)
 
 
 def outer_product_reduction(vector: np.ndarray, probe_dim: int, system_dim: int) -> DensityMatrix:

