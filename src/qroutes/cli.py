@@ -12,25 +12,14 @@ import dataclasses
 import sys
 import time
 from dataclasses import dataclass
+from math import prod
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    AmbiguousGroupingError,
-    CapacityError,
-    DimensionError,
-    HermiticityError,
-    InvariantError,
-    NoStageError,
-    NonCommutingError,
-    NormalizationError,
-    ParseError,
-    UnknownLabelError,
-    UnknownScenarioError,
-    ValidationError,
-    ZeroProbabilityError,
-)
+from .errors import CapacityError, InputError, NumericalError
+from .errors import ParseError, UnknownScenarioError, ValidationError
+from .linalg import MAX_DIM
 from .measurement import ProjectionRule
 from .probe import init_total, interact, probe_signal_distribution, reduced_system_state, stage_labels_for
 from .routes import ComparisonReport, run_route
@@ -43,26 +32,6 @@ from .scenarios import (
     parse_scenario,
     scenario_document,
     write_json,
-)
-
-_INPUT_ERRORS = (
-    ParseError,
-    ValidationError,
-    UnknownScenarioError,
-    UnknownLabelError,
-    NormalizationError,
-    OSError,
-)
-_NUMERIC_ERRORS = (
-    DimensionError,
-    CapacityError,
-    HermiticityError,
-    AmbiguousGroupingError,
-    ZeroProbabilityError,
-    NoStageError,
-    NonCommutingError,
-    InvariantError,
-    np.linalg.LinAlgError,
 )
 
 _PROBE_TOL = 1e-10
@@ -93,6 +62,14 @@ def run_scenario(scenario: Scenario, probe: bool = False) -> RunReport:
             ["initial_state: the probe cross-check needs a vector initial state"]
         )
     registry = scenario.observable_registry()
+    if probe:
+        # interact refuses the same register, but only once every route has run
+        for route in scenario.routes:
+            total = scenario.system_dim * prod(len(registry[s].groups) for s in route.steps)
+            if total > MAX_DIM:
+                raise CapacityError(
+                    f"route {route.display_name}: total dimension {total} exceeds the {MAX_DIM} limit"
+                )
     initial = scenario.initial_density()
     comparison = _compare_routes(
         initial, list(scenario.routes), registry, scenario.target, scenario.tolerance
@@ -232,6 +209,8 @@ def _parse_state(text: str) -> np.ndarray:
         amplitudes = np.array([complex(p) for p in parts], dtype=complex)
     except ValueError as exc:
         raise ValidationError([f"--state: {exc}"]) from None
+    if not np.isfinite(amplitudes).all():
+        raise ValidationError(["--state: non-finite amplitude"])
     norm = float(np.linalg.norm(amplitudes))
     if norm < 1e-12:
         raise ValidationError(["--state: amplitudes have (near) zero norm"])
@@ -259,10 +238,10 @@ def cmd_run(args) -> int:
         if args.tol is not None:
             scenario = scenario.with_tolerance(args.tol)
         report = run_scenario(scenario, probe=args.probe)
-    except _INPUT_ERRORS as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERIC_ERRORS as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical invariant violation: {exc}", file=sys.stderr)
         return 3
     content = render_machine(report) if args.fmt == "json" else render_text(report)

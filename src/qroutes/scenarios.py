@@ -19,6 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .errors import DimensionError, HermiticityError, InvariantError
 from .errors import ParseError, UnknownScenarioError, ValidationError
 from .linalg import DensityMatrix, hermiticity_defect
 from .measurement import Observable, ProjectionRule, spectral_decompose
@@ -408,7 +409,7 @@ def parse_scenario(text: str) -> Scenario:
             if not problems:
                 try:
                     initial_state = DensityMatrix(mat)
-                except Exception as exc:
+                except (DimensionError, HermiticityError, InvariantError) as exc:
                     problems.append(f"initial_state.density_matrix: {exc}")
         else:
             problems.append(

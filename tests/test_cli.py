@@ -11,6 +11,7 @@ import qroutes
 from helpers import degenerate_scenario
 from qroutes import Scenario, builtin, cli, serialize_scenario
 from qroutes.cli import main, render_machine, run_scenario
+from qroutes.scenarios import encode_complex_array
 
 AMP = "0.7071067811865476,0,0.7071067811865476"
 
@@ -230,6 +231,13 @@ class TestRunFromFile:
         code, _, err = run_cli(capsys, "run", "qutrit-paper", "--state", "0,0,0")
         assert code == 2
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("state", ["1,nan,0", "inf,0,0"])
+    def test_non_finite_state_argument(self, capsys, state):
+        code, out, err = run_cli(capsys, "run", "qutrit-paper", "--state", state)
+        assert (code, out) == (2, "")
+        assert err == "error: --state: non-finite amplitude\n"
+
     def test_wrong_length_state(self, capsys):
         code, _, err = run_cli(capsys, "run", "qutrit-paper", "--state", "1,0")
         assert code == 2
@@ -326,6 +334,18 @@ def _mixed_initial_state(doc):
     doc["initial_state"] = {"density_matrix": [[[z.real, z.imag] for z in row] for row in rho]}
 
 
+def _deep_two_qubit_route(doc):
+    doc["name"] = "two-qubit-deep"
+    doc["system_dim"] = 4
+    doc["initial_state"] = {"vector": [[0.5, 0.0]] * 4}
+    signs = {"ZI": [1, 1, -1, -1], "IZ": [1, -1, 1, -1], "ZZ": [1, -1, -1, 1]}
+    doc["observables"] = {
+        label: encode_complex_array(np.diag(d).astype(complex)).tolist() for label, d in signs.items()
+    }
+    doc["routes"] = [{"name": "ZZ", "steps": ["ZZ"]}, {"name": "deep", "steps": ["ZI", "IZ", "ZZ"] * 3}]
+    doc["target"] = "ZZ"
+
+
 def _forbidden(*args, **kwargs):
     raise AssertionError("work started before the probe refusal")
 
@@ -339,6 +359,16 @@ class TestProbeRefusal:
         assert code == 2
         assert out == ""
         assert err == "error: initial_state: the probe cross-check needs a vector initial state\n"
+
+    def test_oversized_register_is_refused_before_any_route_runs(self, capsys, tmp_path, monkeypatch):
+        # nine two-outcome steps on a two-qubit system need a 2**9 * 4 = 2048 register
+        path = _scenario_file(tmp_path, _deep_two_qubit_route)
+        assert run_cli(capsys, "validate", path)[:2] == (0, "OK\n")
+        monkeypatch.setattr(cli, "_compare_routes", _forbidden)
+        code, out, err = run_cli(capsys, "run", path, "--probe")
+        assert code == 2
+        assert out == ""
+        assert err == "error: route deep: total dimension 2048 exceeds the 1024 limit\n"
 
     def test_mixed_state_runs_without_probe(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "run", _scenario_file(tmp_path, _mixed_initial_state))

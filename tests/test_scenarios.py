@@ -20,6 +20,7 @@ from qroutes import (
     parse_scenario,
     serialize_scenario,
 )
+from qroutes import scenarios
 from qroutes.scenarios import _decode_matrix, encode_complex_array, write_json
 
 SQ3 = np.sqrt(3.0)
@@ -376,4 +377,33 @@ class TestParseErrors:
         doc = json.loads(serialize_scenario(builtin("qutrit-paper")))
         doc["initial_state"] = {"vector": [[1.0, 0.0]], "density_matrix": [[[1.0, 0.0]]]}
         with pytest.raises(ValidationError, match="exactly one of"):
+            parse_scenario(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "rho, message",
+        [
+            ([[0.5, 1.0], [0.0, 0.5]], "density matrix not Hermitian: max |m - m†| = 1.000e+00"),
+            ([[1.0, 0.0], [0.0, 1.0]], "density matrix trace deviates from 1 by 1.000e+00"),
+            ([[1.5, 0.0], [0.0, -0.5]], "density matrix has negative eigenvalue -5.000e-01"),
+        ],
+        ids=["non-hermitian", "trace", "negative"],
+    )
+    def test_invalid_density_matrix_is_a_violation(self, rho, message):
+        doc = json.loads(serialize_scenario(builtin("two-qubit-rafasala")))
+        padded = np.pad(np.array(rho, dtype=complex), ((0, 2), (0, 2)))
+        doc["initial_state"] = {"density_matrix": encode_complex_array(padded).tolist()}
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(json.dumps(doc))
+        assert err.value.violations == [f"initial_state.density_matrix: {message}"]
+
+    def test_density_matrix_bug_propagates(self, monkeypatch):
+        # only the errors DensityMatrix raises for a bad state become violations
+        doc = json.loads(serialize_scenario(builtin("two-qubit-rafasala")))
+        doc["initial_state"] = {"density_matrix": encode_complex_array(np.eye(4) / 4).tolist()}
+
+        def broken(mat):
+            raise ZeroDivisionError("a bug inside DensityMatrix")
+
+        monkeypatch.setattr(scenarios, "DensityMatrix", broken)
+        with pytest.raises(ZeroDivisionError, match="a bug inside DensityMatrix"):
             parse_scenario(json.dumps(doc))
