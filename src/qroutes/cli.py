@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CapacityError, InputError, NumericalError
 from .errors import ParseError, UnknownScenarioError, ValidationError
-from .linalg import MAX_DIM
+from .linalg import MAX_DIM, UNIT_TOL, unit_scaled
 from .measurement import ProjectionRule
 from .probe import init_total, interact, probe_signal_distribution, reduced_system_state, stage_labels_for
 from .routes import ComparisonReport, run_route
@@ -33,8 +33,6 @@ from .scenarios import (
     scenario_document,
     write_json,
 )
-
-_PROBE_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +104,7 @@ def _probe_cross_check(scenario, registry, initial, comparison) -> tuple[dict, .
             {
                 "route": route.display_name,
                 "max_abs_deviation": deviation,
-                "consistent": deviation <= _PROBE_TOL,
+                "consistent": deviation <= UNIT_TOL,
                 "signals": probe_signal_distribution(total),
             }
         )
@@ -211,10 +209,10 @@ def _parse_state(text: str) -> np.ndarray:
         raise ValidationError([f"--state: {exc}"]) from None
     if not np.isfinite(amplitudes).all():
         raise ValidationError(["--state: non-finite amplitude"])
-    norm = float(np.linalg.norm(amplitudes))
-    if norm < 1e-12:
+    if not amplitudes.any():
         raise ValidationError(["--state: amplitudes have (near) zero norm"])
-    return amplitudes / norm
+    unit, _ = unit_scaled(amplitudes)  # amplitudes / norm, without overflow
+    return unit / np.linalg.norm(unit)
 
 
 def _load_scenario(source: str) -> Scenario:

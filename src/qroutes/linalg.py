@@ -1,13 +1,23 @@
 """Dense complex linear algebra for small Hilbert spaces.
 
-Matrices are square numpy arrays of ``complex128``. All tolerances default
-to 1e-10 and can be overridden per call. Eigensystems come from LAPACK
-through ``numpy.linalg.eigh``, with a fixed order and phase convention on
-top; callers that need only eigenvalues use ``eigvalsh``.
+Matrices are square numpy arrays of ``complex128``. Eigensystems come from
+LAPACK through ``numpy.linalg.eigh``, with a fixed order and phase
+convention on top; callers that need only eigenvalues use ``eigvalsh``.
+
+This module also holds the package's tolerance policy: every closeness
+threshold is one of the named constants below. A check on a matrix written
+in the caller's units (an observable, a product of observables, a
+spectrum) multiplies its constant by ``max(1, max |M_ij|)`` through
+``scaled_tol``, so rescaling an observable does not change which
+eigenvalues count as equal. A check on a unit-scale object (a state, a
+state vector's norm, a projector or basis, a probability, a trace
+distance) uses its constant as it stands. At or below unit scale every
+threshold is exactly its constant.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +26,36 @@ from .errors import DimensionError, HermiticityError, InvariantError
 
 # Composite spaces beyond this are refused rather than silently built.
 MAX_DIM = 1024
+
+# Tolerance policy: the only threshold literals in the package.
+# Scaled by the input through ``scaled_tol``:
+MATRIX_TOL = 1e-10  # hermiticity, commutation, reconstruction, route products
+GROUP_TOL = 1e-8  # eigenvalues this close share a group (default ``group_tol``)
+# Absolute, for unit-scale objects:
+UNIT_TOL = 1e-10  # density matrices, state norms, basis spans, probe deviation
+TRACE_TOL = 1e-8  # projector trace against its degeneracy
+ZERO_TOL = 1e-12  # an outcome this unlikely has no post-measurement state
+DISTANCE_TOL = 1e-8  # default trace distance up to which two states are EQUAL
+
+
+def scaled_tol(tol: float, m) -> float:
+    """``tol`` times ``max(1, max |m_ij|)``: the threshold for a check on ``m``."""
+    return tol * max(1.0, float(np.abs(m).max(initial=0.0)))
+
+
+def unit_scaled(v) -> tuple[np.ndarray, float]:
+    """``(u, s)`` with ``v = s·u``, ``s`` the power of two at or just below
+    the largest real or imaginary part of ``v``.
+
+    The norm of ``u`` can neither overflow nor underflow. Scaling by a power
+    of two is exact, so wherever no square in ``norm(v)`` overflows or
+    underflows, ``s·norm(u)`` and ``u / norm(u)`` are bit for bit ``norm(v)``
+    and ``v / norm(v)``. An all-zero ``v`` gives an all-zero ``u``.
+    """
+    v = np.ascontiguousarray(v, dtype=complex)
+    parts = v.view(float)
+    exponent = math.frexp(float(np.abs(parts).max(initial=0.0)))[1] - 1
+    return np.ldexp(parts, -exponent).view(complex), 2.0**exponent
 
 
 def as_matrix(m) -> np.ndarray:
@@ -43,7 +83,7 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def hermitian_eigendecomposition(m, tol: float = 1e-10) -> list[tuple[float, np.ndarray]]:
+def hermitian_eigendecomposition(m, tol: float = MATRIX_TOL) -> list[tuple[float, np.ndarray]]:
     """Full eigensystem of a Hermitian matrix, computed by LAPACK (``eigh``).
 
     Returns ``[(eigenvalue, eigenvector), ...]`` sorted by descending
@@ -51,12 +91,14 @@ def hermitian_eigendecomposition(m, tol: float = 1e-10) -> list[tuple[float, np.
     eigenvector component, and each eigenvector's phase is fixed so that
     component is real and positive.
 
-    Raises HermiticityError when ``max |m - m†| > tol``.
+    Raises HermiticityError when ``max |m - m†|`` exceeds
+    ``scaled_tol(tol, m)``, that is ``tol`` times ``max(1, max |m_ij|)``.
     """
     m = as_matrix(m)
     defect = _defect(m)
-    if defect > tol:
-        raise HermiticityError(f"max |m - m†| = {defect:.3e} exceeds tolerance {tol:.3e}")
+    limit = scaled_tol(tol, m)
+    if defect > limit:
+        raise HermiticityError(f"max |m - m†| = {defect:.3e} exceeds tolerance {limit:.3e}")
     vals, vecs = np.linalg.eigh(_hermitian_part(m))
     if vals.size == 0:
         return []
@@ -74,9 +116,10 @@ def hermitian_eigendecomposition(m, tol: float = 1e-10) -> list[tuple[float, np.
 class DensityMatrix:
     """A validated quantum state: Hermitian, unit trace, positive.
 
-    Construction rejects anything violating those invariants within 1e-10
-    (eigenvalues may dip to -1e-10 from rounding): HermiticityError for the
-    adjoint, InvariantError for the trace and positivity.
+    Construction rejects anything violating those invariants by more than
+    the absolute ``UNIT_TOL`` (eigenvalues may dip to ``-UNIT_TOL`` from
+    rounding): HermiticityError for the adjoint, InvariantError for the
+    trace and positivity.
     """
 
     mat: np.ndarray
@@ -84,16 +127,16 @@ class DensityMatrix:
     def __post_init__(self):
         m = as_matrix(self.mat)
         defect = _defect(m)
-        if defect > 1e-10:
+        if defect > UNIT_TOL:
             raise HermiticityError(
                 f"density matrix not Hermitian: max |m - m†| = {defect:.3e}"
             )
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > 1e-10:
+        if abs(tr - 1.0) > UNIT_TOL:
             raise InvariantError(f"density matrix trace deviates from 1 by {abs(tr - 1.0):.3e}")
         m = _hermitian_part(m)
         low = float(np.linalg.eigvalsh(m)[0])
-        if low < -1e-10:
+        if low < -UNIT_TOL:
             raise InvariantError(f"density matrix has negative eigenvalue {low:.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)

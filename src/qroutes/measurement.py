@@ -26,7 +26,17 @@ from .errors import (
     InvariantError,
     ZeroProbabilityError,
 )
-from .linalg import DensityMatrix, as_matrix, hermitian_eigendecomposition
+from .linalg import (
+    GROUP_TOL,
+    MATRIX_TOL,
+    TRACE_TOL,
+    UNIT_TOL,
+    ZERO_TOL,
+    DensityMatrix,
+    as_matrix,
+    hermitian_eigendecomposition,
+    scaled_tol,
+)
 
 
 class ProjectionRule(enum.Enum):
@@ -59,7 +69,9 @@ class Observable:
     Groups are ordered by descending eigenvalue. Invariants (distinct
     eigenvalues, degeneracies summing to the dimension, projector
     completeness, reconstruction of the matrix) are checked on
-    construction, each failure raising InvariantError; build instances
+    construction, each failure raising InvariantError. The projector and
+    basis checks are absolute; reconstruction is checked to
+    ``scaled_tol(MATRIX_TOL, matrix)``. Build instances
     through ``spectral_decompose`` unless a specific intra-eigenspace basis
     is wanted.
     """
@@ -82,7 +94,7 @@ class Observable:
         if any(d != len(g.basis) for d, g in zip(degs, self.groups)):
             raise InvariantError("degeneracy disagrees with the stored basis size")
         projectors = np.array([g.projector for g in self.groups])
-        if (abs(projectors.trace(axis1=1, axis2=2).real - degs) > 1e-8).any():
+        if (abs(projectors.trace(axis1=1, axis2=2).real - degs) > TRACE_TOL).any():
             raise InvariantError("projector trace disagrees with the degeneracy")
         # Every basis vector as a row, group after group: group i owns the
         # rows starts[i]:starts[i + 1]. The span check runs one product
@@ -92,17 +104,17 @@ class Observable:
         starts = [0, *itertools.accumulate(degs)]
         for projector, a, b in zip(projectors, starts, starts[1:]):
             rows = basis[a:b]
-            if abs(rows.T @ rows.conj() - projector).max() > 1e-10:
+            if abs(rows.T @ rows.conj() - projector).max() > UNIT_TOL:
                 raise InvariantError("stored basis does not span the group projector")
         # Orthonormality of the stacked basis implies projector idempotence
         # and pairwise orthogonality in one pass.
         eye = np.eye(dim)
-        if abs(basis.conj() @ basis.T - eye).max() > 1e-10:
+        if abs(basis.conj() @ basis.T - eye).max() > UNIT_TOL:
             raise InvariantError("eigenbasis is not orthonormal")
-        if abs(projectors.sum(axis=0) - eye).max() > 1e-10:
+        if abs(projectors.sum(axis=0) - eye).max() > UNIT_TOL:
             raise InvariantError("eigenspace projectors do not sum to the identity")
         rebuilt = np.tensordot(vals, projectors, axes=1)
-        if abs(rebuilt - m).max() > 1e-10:
+        if abs(rebuilt - m).max() > scaled_tol(MATRIX_TOL, m):
             raise InvariantError(
                 "groups do not reconstruct the observable matrix; "
                 "the eigenvalue grouping may be too coarse"
@@ -119,13 +131,18 @@ class Observable:
         return tuple(g.eigenvalue for g in self.groups)
 
 
-def spectral_decompose(m, group_tol: float = 1e-8, *, label: str = "") -> Observable:
+def spectral_decompose(m, group_tol: float = GROUP_TOL, *, label: str = "") -> Observable:
     """Group the eigensystem of a Hermitian matrix into distinct eigenvalues.
 
-    Eigenvalues closer than ``group_tol`` fall into one degenerate group.
-    Spacings inside the open band (group_tol, 10*group_tol) are refused
-    with AmbiguousGroupingError: they are too wide to merge and too narrow
-    to split with confidence.
+    The grouping band scales with the spectrum: ``band = group_tol ·
+    max(1, max |λ|)``, so rescaling ``m`` rescales the band with it.
+    Eigenvalues closer than ``band`` fall into one degenerate group.
+    Spacings inside the open band (band, 10·band) are refused with
+    AmbiguousGroupingError: they are too wide to merge and too narrow to
+    split with confidence. So is a group whose gaps are each at most
+    ``band`` but whose spread (largest minus smallest eigenvalue) exceeds
+    it: a chain of near-equal eigenvalues. The hermiticity check is
+    ``hermitian_eigendecomposition``'s, scaled by the entries of ``m``.
     """
     m = as_matrix(m)
     pairs = hermitian_eigendecomposition(m)
@@ -133,15 +150,22 @@ def spectral_decompose(m, group_tol: float = 1e-8, *, label: str = "") -> Observ
         raise DimensionError("cannot decompose an empty matrix")
     vals = np.array([val for val, _ in pairs])
     vecs = np.array([vec for _, vec in pairs])
+    band = scaled_tol(group_tol, vals)
     gaps = vals[:-1] - vals[1:]
-    split = gaps > group_tol
-    ambiguous = split & (gaps < 10.0 * group_tol)
+    split = gaps > band
+    ambiguous = split & (gaps < 10.0 * band)
     if ambiguous.any():
         gap = float(gaps[ambiguous.argmax()])  # the first, in descending order
         raise AmbiguousGroupingError(
-            f"eigenvalue gap {gap:.3e} falls inside ({group_tol:.3e}, {10 * group_tol:.3e})"
+            f"eigenvalue gap {gap:.3e} falls inside ({band:.3e}, {10 * band:.3e})"
         )
     bounds = [0, *(split.nonzero()[0] + 1).tolist(), len(vals)]
+    spread = float((vals[bounds[:-1]] - vals[np.array(bounds[1:]) - 1]).max())
+    if spread > band:
+        raise AmbiguousGroupingError(
+            f"eigenvalues merged into one group spread over {spread:.3e}, "
+            f"more than the grouping tolerance {band:.3e}"
+        )
     groups = []
     for a, b in zip(bounds, bounds[1:]):
         block = vecs[a:b]
@@ -249,7 +273,7 @@ def selective_outcome(
     prob = min(max(float(np.trace(p @ rho.mat).real), 0.0), 1.0)
     if not post_state:
         return prob, None
-    if prob <= 1e-12:
+    if prob <= ZERO_TOL:
         raise ZeroProbabilityError(
             f"outcome {obs.groups[group_index].eigenvalue} has probability {prob:.3e}"
         )

@@ -16,7 +16,7 @@ from math import prod
 import numpy as np
 
 from .errors import CapacityError, DimensionError, NoStageError, NormalizationError
-from .linalg import MAX_DIM, DensityMatrix
+from .linalg import MAX_DIM, UNIT_TOL, DensityMatrix
 from .measurement import Observable
 
 
@@ -95,7 +95,7 @@ class TotalState:
                 f"system dim {self.system_dim}"
             )
         norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > 1e-10:
+        if abs(norm - 1.0) > UNIT_TOL:
             raise NormalizationError(f"norm deviates from 1 by {abs(norm - 1.0):.3e}")
         v.setflags(write=False)
         object.__setattr__(self, "vector", v)

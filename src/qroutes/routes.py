@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NonCommutingError, UnknownLabelError
-from .linalg import DensityMatrix, trace_distance
+from .linalg import DISTANCE_TOL, MATRIX_TOL, DensityMatrix, scaled_tol, trace_distance
 from .measurement import (
     Observable,
     ProjectionRule,
@@ -80,17 +80,21 @@ class ComparisonReport:
         return all(v is Verdict.EQUAL for row in self.verdicts for v in row)
 
 
-def commutes(a: Observable, b: Observable, tol: float = 1e-10) -> bool:
-    """True iff max |AB - BA| is at most tol."""
+def commutes(a: Observable, b: Observable, tol: float = MATRIX_TOL) -> bool:
+    """True iff max |AB - BA| is at most tol scaled by both factors.
+
+    The threshold is ``tol · max(1, max |A_ij|) · max(1, max |B_ij|)``, so
+    rescaling either observable does not change the answer.
+    """
     if a.dim != b.dim:
         raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
     gap = np.max(np.abs(a.matrix @ b.matrix - b.matrix @ a.matrix))
-    return bool(gap <= tol)
+    return bool(gap <= scaled_tol(scaled_tol(tol, a.matrix), b.matrix))
 
 
 def product_observable(a: Observable, b: Observable) -> Observable:
     """Observable for A·B; requires the factors to commute."""
-    if not commutes(a, b, 1e-10):
+    if not commutes(a, b):
         raise NonCommutingError(
             f"{a.label or 'left factor'} and {b.label or 'right factor'} do not commute"
         )
@@ -114,15 +118,17 @@ def _check_route_targets(
     routes: list[Route], registry: dict[str, Observable], target_obs: Observable
 ) -> None:
     # A route plausibly measures the target if the target is its last step
-    # or the matrix product of its steps. Anything else is the caller's
+    # or the matrix product of its steps, to within MATRIX_TOL scaled by
+    # the target's entries. Anything else is the caller's
     # responsibility, so warn instead of refusing.
+    limit = scaled_tol(MATRIX_TOL, target_obs.matrix)
     for route in routes:
         if route.steps[-1] == target_obs.label:
             continue
         prod = np.eye(target_obs.dim, dtype=complex)
         for label in route.steps:
             prod = prod @ registry[label].matrix
-        if np.max(np.abs(prod - target_obs.matrix)) <= 1e-10:
+        if np.max(np.abs(prod - target_obs.matrix)) <= limit:
             continue
         warnings.warn(
             f"route {route.display_name!r}: target {target_obs.label!r} is neither "
@@ -137,7 +143,7 @@ def compare_routes(
     routes: list[Route],
     registry: dict[str, Observable],
     target: str,
-    tol: float = 1e-8,
+    tol: float = DISTANCE_TOL,
 ) -> ComparisonReport:
     """Run every route and compare all final states pairwise."""
     if len(routes) < 2:

@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import DimensionError, HermiticityError, InvariantError
 from .errors import ParseError, UnknownScenarioError, ValidationError
-from .linalg import DensityMatrix, hermiticity_defect
+from .linalg import DISTANCE_TOL, MATRIX_TOL, UNIT_TOL, DensityMatrix, hermiticity_defect
+from .linalg import scaled_tol, unit_scaled
 from .measurement import Observable, ProjectionRule, spectral_decompose
 from .routes import Route
 
@@ -40,7 +41,7 @@ class Scenario:
     routes: tuple[Route, ...]
     target: str
     rule: ProjectionRule = ProjectionRule.LUDERS
-    tolerance: float = 1e-8
+    tolerance: float = DISTANCE_TOL
 
     def __post_init__(self):
         frozen = {}
@@ -78,8 +79,9 @@ class Scenario:
             elif not np.all(np.isfinite(v)):
                 out.append("initial_state.vector: non-finite amplitude")
             else:
-                dev = abs(float(np.linalg.norm(v)) - 1.0)
-                if dev > 1e-10:
+                unit, scale = unit_scaled(v)  # a norm past the float range stays finite
+                dev = abs(float(np.linalg.norm(unit)) * scale - 1.0)
+                if dev > UNIT_TOL:
                     out.append(f"initial_state.vector: norm deviates from 1 by {dev:.3e}")
         for label, m in self.observables.items():
             if m.ndim != 2 or m.shape != (self.system_dim, self.system_dim):
@@ -92,7 +94,7 @@ class Scenario:
                 out.append(f"observables.{label}: non-finite entry")
                 continue
             defect = hermiticity_defect(m)
-            if defect > 1e-10:
+            if defect > scaled_tol(MATRIX_TOL, m):
                 out.append(
                     f"observables.{label}: not Hermitian (max |M - M†| = {defect:.3e})"
                 )
@@ -381,12 +383,12 @@ def parse_scenario(text: str) -> Scenario:
     system_dim = fetch("system_dim", int, default=1)
     target = fetch("target", str, default="")
     rule_name = fetch("rule", str, required=False, default=ProjectionRule.LUDERS.value)
-    tolerance = fetch("tolerance", (int, float), required=False, default=1e-8)
+    tolerance = fetch("tolerance", (int, float), required=False, default=DISTANCE_TOL)
     try:
         tolerance = float(tolerance)
     except OverflowError:
         problems.append("tolerance: number out of float range")
-        tolerance = 1e-8
+        tolerance = DISTANCE_TOL
 
     rule = ProjectionRule.LUDERS
     try:

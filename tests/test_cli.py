@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -238,6 +239,32 @@ class TestRunFromFile:
         assert (code, out) == (2, "")
         assert err == "error: --state: non-finite amplitude\n"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("state", ["1e200,1e200,0", "1e-200,1e-200,0"])
+    def test_state_argument_far_from_unit_scale(self, capsys, state):
+        # Normalised without overflow or underflow: runs as (1, 1, 0)/sqrt(2).
+        code, out, err = run_cli(capsys, "run", "qutrit-paper", "--state", state, "--format", "json")
+        assert (code, err) == (0, "")
+        _, expected, _ = run_cli(capsys, "run", "qutrit-paper", "--state", "1,1,0", "--format", "json")
+        got, want = json.loads(out), json.loads(expected)
+        vectors = [r["scenario"]["initial_state"]["vector"] for r in (got, want)]
+        assert np.allclose(*vectors, rtol=0, atol=1e-15)
+        got, want = got["comparison"], want["comparison"]
+        assert got["verdicts"] == want["verdicts"]
+        assert np.allclose(got["pairwise_trace_distance"], want["pairwise_trace_distance"], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("state", ["3,0,1", "0.6,0.8j,0", "1e-5,2e-5j,3", "-0.0,1,-0.0j"])
+    def test_state_argument_normalises_as_amplitudes_over_their_norm(self, state):
+        amplitudes = np.array([complex(p) for p in state.split(",")])
+        expected = amplitudes / np.linalg.norm(amplitudes)
+        assert cli._parse_state(state).tobytes() == expected.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_only_an_all_zero_state_argument_is_refused(self, capsys):
+        code, out, err = run_cli(capsys, "run", "qutrit-paper", "--state", "0,0j,-0.0")
+        assert (code, out, err) == (2, "", "error: --state: amplitudes have (near) zero norm\n")
+        assert run_cli(capsys, "run", "qutrit-paper", "--state", "1e-300,0,0")[0] == 0
+
     def test_wrong_length_state(self, capsys):
         code, _, err = run_cli(capsys, "run", "qutrit-paper", "--state", "1,0")
         assert code == 2
@@ -475,3 +502,39 @@ class TestRepeatedMain:
         code, out, _ = run_cli(capsys, "run", "qutrit-paper", "--format", "json")
         assert code == 0
         assert out == _report()
+
+
+def _readme_scenario() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```json\n(.*?)^```$", readme, flags=re.S | re.M)
+    assert len(blocks) == 1, "README.md should hold exactly one json block"
+    return blocks[0]
+
+
+class TestReadmeScenario:
+    """The README's ``qubit-demo`` file behaves as the README says."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "qubit-demo.json"
+        path.write_text(_readme_scenario())
+        return str(path)
+
+    def test_validates(self, capsys, path):
+        assert run_cli(capsys, "validate", path) == (0, "OK\n", "")
+
+    def test_equal_under_luders(self, capsys, path):
+        code, out, err = run_cli(capsys, "run", path, "--format", "json")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["scenario"]["name"] == "qubit-demo"
+        assert report["comparison"]["verdicts"][0][1] == "EQUAL"
+
+    def test_distinct_under_von_neumann(self, capsys, path):
+        # A single-eigenvalue measurement maps the state to the maximally
+        # mixed one: populations (0.64, 0.36) against (0.5, 0.5).
+        code, out, err = run_cli(capsys, "run", path, "--rule", "von-neumann", "--format", "json")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["comparison"]["verdicts"][0][1] == "DISTINCT"
+        assert report["comparison"]["pairwise_trace_distance"][0][1] == pytest.approx(0.14, abs=1e-12)

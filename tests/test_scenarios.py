@@ -337,6 +337,13 @@ class TestParseErrors:
         with pytest.raises(ValidationError, match="norm deviates from 1 by 4.142e-01"):
             parse_scenario(json.dumps(doc))
 
+    @pytest.mark.filterwarnings("error")
+    def test_state_past_the_float_range_reports_its_true_deviation(self):
+        doc = json.loads(serialize_scenario(builtin("qutrit-paper")))
+        doc["initial_state"]["vector"] = [[1e200, 0.0], [1e200, 0.0], [0.0, 0.0]]
+        with pytest.raises(ValidationError, match=r"^initial_state\.vector: norm deviates from 1 by 1\.414e\+200$"):
+            parse_scenario(json.dumps(doc))
+
     def test_unresolved_route_label(self):
         doc = json.loads(serialize_scenario(builtin("qutrit-paper")))
         doc["routes"][1]["steps"] = ["A", "X"]
