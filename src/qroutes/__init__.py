@@ -38,7 +38,6 @@ from .measurement import (
     von_neumann_update,
 )
 from .probe import (
-    PointerRegister,
     TotalState,
     init_total,
     interact,
@@ -80,7 +79,6 @@ __all__ = [
     "NoStageError",
     "Observable",
     "ParseError",
-    "PointerRegister",
     "ProjectionRule",
     "QRoutesError",
     "Route",

@@ -31,6 +31,7 @@ MAX_DIM = 1024
 # Scaled by the input through ``scaled_tol``:
 MATRIX_TOL = 1e-10  # hermiticity, commutation, reconstruction, route products
 GROUP_TOL = 1e-8  # eigenvalues this close share a group (default ``group_tol``)
+LABEL_TOL = 1e-9  # an eigenvalue this close to a short decimal is labelled by it
 # Absolute, for unit-scale objects:
 UNIT_TOL = 1e-10  # density matrices, state norms, basis spans, probe deviation
 TRACE_TOL = 1e-8  # projector trace against its degeneracy

@@ -16,15 +16,15 @@ from math import prod
 import numpy as np
 
 from .errors import CapacityError, DimensionError, NoStageError, NormalizationError
-from .linalg import MAX_DIM, UNIT_TOL, DensityMatrix
+from .linalg import LABEL_TOL, MAX_DIM, UNIT_TOL, DensityMatrix, scaled_tol
 from .measurement import Observable
 
 
-def _decimal_label(value: float, index: int) -> str:
+def _decimal_label(value: float, index: int, tol: float) -> str:
     """Short decimal name for an eigenvalue, or "g<index>" when none fits."""
     for digits in range(7):
         cand = round(value, digits)
-        if abs(cand - value) <= 1e-9:
+        if abs(cand - value) <= tol:
             text = f"{cand:.{digits}f}"
             if "." in text:
                 text = text.rstrip("0").rstrip(".")
@@ -34,38 +34,44 @@ def _decimal_label(value: float, index: int) -> str:
 
 def stage_labels_for(obs: Observable) -> tuple[str, ...]:
     """One label per eigenvalue group, guaranteed distinct within the stage."""
-    labels = tuple(_decimal_label(g.eigenvalue, k) for k, g in enumerate(obs.groups))
+    tol = scaled_tol(LABEL_TOL, np.array(obs.eigenvalues))
+    labels = tuple(_decimal_label(v, k, tol) for k, v in enumerate(obs.eigenvalues))
     if len(set(labels)) != len(labels):
-        labels = tuple(f"g{k}" for k in range(len(obs.groups)))
+        labels = tuple(f"g{k}" for k in range(len(labels)))
     return labels
 
 
 @dataclass(frozen=True, eq=False)
-class PointerRegister:
-    """The accumulated measurement record space.
+class TotalState:
+    """A pure state of pointer registers joined with the system.
 
-    ``stage_dims`` and ``stage_labels`` are in measurement order. In the
-    flat register index the most recent stage varies slowest; composite
-    labels always read in measurement order (first measurement first).
+    ``stage_labels`` holds one tuple of outcome labels per measurement, in
+    measurement order, and is the whole register: its dimension is the
+    product of the label counts. In the flat register index the most
+    recent stage varies slowest; composite labels always read in
+    measurement order (first measurement first).
     """
 
-    stage_dims: tuple[int, ...] = ()
+    vector: np.ndarray
+    system_dim: int
     stage_labels: tuple[tuple[str, ...], ...] = ()
 
     def __post_init__(self):
-        if len(self.stage_dims) != len(self.stage_labels):
-            raise ValueError("one label tuple per stage required")
-        for d, names in zip(self.stage_dims, self.stage_labels):
-            if d < 1 or len(names) != d:
-                raise ValueError("stage labels must match the stage dimension")
+        v = np.asarray(self.vector, dtype=complex).reshape(-1)
+        if v.size != self.register_dim * self.system_dim:
+            raise DimensionError(
+                f"vector length {v.size} != register dim {self.register_dim} x "
+                f"system dim {self.system_dim}"
+            )
+        norm = float(np.linalg.norm(v))
+        if abs(norm - 1.0) > UNIT_TOL:
+            raise NormalizationError(f"norm deviates from 1 by {abs(norm - 1.0):.3e}")
+        v.setflags(write=False)
+        object.__setattr__(self, "vector", v)
 
     @property
-    def stages(self) -> int:
-        return len(self.stage_dims)
-
-    @property
-    def dim(self) -> int:
-        return prod(self.stage_dims)
+    def register_dim(self) -> int:
+        return prod(map(len, self.stage_labels))
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -79,32 +85,10 @@ class PointerRegister:
         return tuple(composites)
 
 
-@dataclass(frozen=True, eq=False)
-class TotalState:
-    """A pure state of pointer registers joined with the system."""
-
-    vector: np.ndarray
-    probe: PointerRegister
-    system_dim: int
-
-    def __post_init__(self):
-        v = np.asarray(self.vector, dtype=complex).reshape(-1)
-        if v.size != self.probe.dim * self.system_dim:
-            raise DimensionError(
-                f"vector length {v.size} != register dim {self.probe.dim} x "
-                f"system dim {self.system_dim}"
-            )
-        norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > UNIT_TOL:
-            raise NormalizationError(f"norm deviates from 1 by {abs(norm - 1.0):.3e}")
-        v.setflags(write=False)
-        object.__setattr__(self, "vector", v)
-
-
 def init_total(system) -> TotalState:
     """Total state before any measurement: no registers, just the system."""
     v = np.asarray(system, dtype=complex).reshape(-1)
-    return TotalState(vector=v.copy(), probe=PointerRegister(), system_dim=v.size)
+    return TotalState(vector=v.copy(), system_dim=v.size)
 
 
 def interact(state: TotalState, obs: Observable) -> TotalState:
@@ -123,20 +107,16 @@ def interact(state: TotalState, obs: Observable) -> TotalState:
         raise CapacityError(
             f"total dimension {k * state.vector.size} exceeds the {MAX_DIM} limit"
         )
-    blocks = state.vector.reshape(state.probe.dim, state.system_dim)
+    blocks = state.vector.reshape(-1, state.system_dim)
     stacked = np.concatenate([blocks @ g.projector.T for g in obs.groups])
-    register = PointerRegister(
-        stage_dims=state.probe.stage_dims + (k,),
-        stage_labels=state.probe.stage_labels + (stage_labels_for(obs),),
-    )
     return TotalState(
-        vector=stacked.reshape(-1), probe=register, system_dim=state.system_dim
+        stacked.reshape(-1), state.system_dim, state.stage_labels + (stage_labels_for(obs),)
     )
 
 
 def reduced_system_state(state: TotalState) -> DensityMatrix:
     """Trace out every pointer register, in O(p·s²) without the total density matrix."""
-    blocks = state.vector.reshape(state.probe.dim, state.system_dim)
+    blocks = state.vector.reshape(-1, state.system_dim)
     return DensityMatrix(
         np.einsum("aij->ij", blocks[:, :, None] * blocks.conj()[:, None, :])
     )
@@ -144,8 +124,8 @@ def reduced_system_state(state: TotalState) -> DensityMatrix:
 
 def probe_signal_distribution(state: TotalState) -> dict[str, float]:
     """Probability of each composite register label (squared block norm)."""
-    if state.probe.stages == 0:
+    if not state.stage_labels:
         raise NoStageError("no measurement stage has been recorded yet")
-    blocks = state.vector.reshape(state.probe.dim, state.system_dim)
+    blocks = state.vector.reshape(-1, state.system_dim)
     probs = np.sum(np.abs(blocks) ** 2, axis=1)
-    return {label: float(p) for label, p in zip(state.probe.labels, probs)}
+    return {label: float(p) for label, p in zip(state.labels, probs)}

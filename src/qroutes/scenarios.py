@@ -108,6 +108,8 @@ class Scenario:
             out.append(f"target: unresolved label {self.target!r}")
         if not self.tolerance > 0:
             out.append(f"tolerance: must be positive, got {self.tolerance}")
+        elif not np.isfinite(self.tolerance):
+            out.append(f"tolerance: must be finite, got {self.tolerance}")
         return out
 
     def initial_density(self) -> DensityMatrix:

@@ -16,7 +16,6 @@ PUBLIC_NAMES = [
     "NormalizationError",
     "Observable",
     "ParseError",
-    "PointerRegister",
     "ProjectionRule",
     "QRoutesError",
     "Route",

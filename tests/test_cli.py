@@ -316,6 +316,54 @@ def _keep_one_route(doc, _):
     del doc["routes"][1:]
 
 
+_HUGE = "HUGE"  # written to the file as the literal 1e400, which json reads as inf
+
+
+def _put(*path):
+    """An edit that sets the node at ``path[:-1]`` of a scenario document to ``path[-1]``."""
+    *keys, value = path
+
+    def edit(doc):
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+
+    return edit
+
+
+_QUBIT_ID = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+# One edit of qutrit-paper per violation, with the exact line that names it.
+VIOLATIONS = [
+    ("system-dim-0", _put("system_dim", 0), "system_dim: must be positive, got 0"),
+    (
+        "density-matrix-dim",
+        _put("initial_state", {"density_matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}),
+        "initial_state: dimension 2 != system_dim 3",
+    ),
+    ("huge-vector-entry", _put("initial_state", "vector", 0, [_HUGE, 0.0]), "initial_state.vector: non-finite amplitude"),
+    ("huge-observable-entry", _put("observables", "A", 0, 0, [_HUGE, 0.0]), "observables.A: non-finite entry"),
+    ("observable-shape", _put("observables", "A", _QUBIT_ID), "observables.A: shape (2, 2) != (3, 3)"),
+    (
+        "empty-vector",
+        _put("initial_state", "vector", []),
+        "initial_state.vector: expected a non-empty array of [re, im] pairs",
+    ),
+    ("empty-matrix", _put("observables", "A", []), "observables.A: expected a non-empty array of rows"),
+    ("no-observables", _put("observables", {}), "observables: at least one observable required"),
+    ("route-not-object", _put("routes", 0, "C"), "routes[0]: expected an object"),
+    ("empty-steps", _put("routes", 0, "steps", []), "routes[0].steps: expected a non-empty array of labels"),
+    (
+        "route-rule",
+        _put("routes", 0, "rule", "projective"),
+        "routes[0].rule: unknown projection rule 'projective' (expected one of: luders, von-neumann)",
+    ),
+    ("route-name", _put("routes", 0, "name", 5), "routes[0].name: expected a string"),
+    ("huge-tolerance-literal", _put("tolerance", _HUGE), "tolerance: must be finite, got inf"),
+]
+
+
 class TestValidateAgreesWithRun:
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize(
@@ -336,6 +384,21 @@ class TestValidateAgreesWithRun:
         assert code == 2
         assert out == ""
         assert message in err
+
+    def test_infinite_tol_option(self, capsys):
+        code, out, err = run_cli(capsys, "run", "qutrit-paper", "--tol", "inf", "--format", "json")
+        assert (code, out, err) == (2, "", "error: tolerance: must be finite, got inf\n")
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("edit, line", [v[1:] for v in VIOLATIONS], ids=[v[0] for v in VIOLATIONS])
+    def test_each_violation_is_named_by_both_commands(self, capsys, tmp_path, command, edit, line):
+        doc = json.loads(serialize_scenario(builtin("qutrit-paper")))
+        edit(doc)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc).replace(f'"{_HUGE}"', "1e400"))
+        code, out, err = run_cli(capsys, command, str(path))
+        prefix = "error: " if command == "run" else ""
+        assert (code, out, err) == (2, "", f"{prefix}{line}\n")
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_integer_literal_past_the_digit_limit(self, capsys, tmp_path, command):
@@ -435,6 +498,15 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "run", "qutrit-paper")
         assert code == 3
         assert err == "numerical invariant violation: no convergence\n"
+
+    def test_failed_probe_cross_check_exits_3_after_the_report(self, capsys, monkeypatch):
+        # |0><0| differs from every route's final state, each with diagonal 1/3
+        wrong = qroutes.DensityMatrix.pure([1, 0, 0])
+        monkeypatch.setattr(cli, "reduced_system_state", lambda total: wrong)
+        code, out, err = run_cli(capsys, "run", "qutrit-paper", "--probe", "--format", "json")
+        assert code == 3
+        assert err == "numerical invariant violation: probe cross-check failed\n"
+        assert [entry["consistent"] for entry in json.loads(out)["probe"]] == [False, False, False]
 
     def test_reconstruction_failure_exits_3(self, capsys, tmp_path):
         path = _scenario_file(tmp_path, _coarse_grouping)

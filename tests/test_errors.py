@@ -183,3 +183,14 @@ def test_rotated_qutrit_verdicts_do_not_depend_on_scale(capsys, tmp_path, k):
         assert np.allclose(
             reports[1]["pairwise_trace_distance"], reports[0]["pairwise_trace_distance"], rtol=0, atol=1e-12
         )
+
+
+@pytest.mark.parametrize(
+    "k, labels", [(0, ["1", "0"]), (3, ["1000000", "0"]), (6, ["1000000000000", "0"])]
+)
+def test_probe_labels_follow_the_spectrum_scale(capsys, tmp_path, k, labels):
+    path = tmp_path / "scaled.json"
+    _rotated_qutrit_file(path, k)
+    code, out, err = run_cli(capsys, "run", str(path), "--probe", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["target_outcome_labels"] == labels

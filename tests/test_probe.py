@@ -19,7 +19,6 @@ from qroutes import (
     DimensionError,
     NormalizationError,
     NoStageError,
-    PointerRegister,
     Route,
     TotalState,
     init_total,
@@ -71,6 +70,10 @@ def index_labels(dims):
     return tuple(tuple(str(k) for k in range(d)) for d in dims)
 
 
+def stage_dims(total):
+    return tuple(map(len, total.stage_labels))
+
+
 def assert_bit_identical(x, y):
     assert x.dtype == y.dtype == complex
     assert np.array_equal(x.view(np.float64), y.view(np.float64))
@@ -79,8 +82,8 @@ def assert_bit_identical(x, y):
 class TestInitTotal:
     def test_starts_with_no_registers(self):
         total = init_total(ETA)
-        assert total.probe.stages == 0
-        assert total.probe.dim == 1
+        assert total.stage_labels == ()
+        assert total.register_dim == 1
         assert total.system_dim == 3
         assert np.array_equal(total.vector, ETA)
 
@@ -94,16 +97,16 @@ class TestInteract:
         total = interact(init_total(ETA), A)
         expect = np.array([ETA[0], ETA[1], 0, 0, 0, ETA[2]], dtype=complex)
         assert np.allclose(total.vector, expect, atol=1e-12)
-        assert total.probe.stage_dims == (2,)
-        assert total.probe.stage_labels == (("1", "0"),)
+        assert stage_dims(total) == (2,)
+        assert total.stage_labels == (("1", "0"),)
 
     def test_matches_kron_oracle_through_two_stages(self):
         total = init_total(ETA)
         for obs in (A, B):
-            expect = oracle_interact(total.vector, total.probe.dim, obs)
+            expect = oracle_interact(total.vector, total.register_dim, obs)
             total = interact(total, obs)
             assert np.allclose(total.vector, expect, atol=1e-12)
-        assert total.probe.stage_dims == (2, 2)
+        assert stage_dims(total) == (2, 2)
 
     def test_preserves_norm(self):
         rng = np.random.default_rng(101)
@@ -114,12 +117,12 @@ class TestInteract:
 
     def test_distinct_outcome_components_are_orthogonal(self):
         total = fold(init_total(ETA), ("A", "B"))
-        blocks = total.vector.reshape(total.probe.dim, total.system_dim)
-        for q in range(total.probe.dim):
-            for r in range(q + 1, total.probe.dim):
-                point_q = np.zeros(total.probe.dim)
+        blocks = total.vector.reshape(total.register_dim, total.system_dim)
+        for q in range(total.register_dim):
+            for r in range(q + 1, total.register_dim):
+                point_q = np.zeros(total.register_dim)
                 point_q[q] = 1.0
-                point_r = np.zeros(total.probe.dim)
+                point_r = np.zeros(total.register_dim)
                 point_r[r] = 1.0
                 comp_q = np.kron(point_q, blocks[q])
                 comp_r = np.kron(point_r, blocks[r])
@@ -192,12 +195,11 @@ class TestReducedState:
             layouts = [random_stage_dims(rng, cap) for _ in range(4)]
             layouts.append((2,) * (cap.bit_length() - 1))  # fills the register to the cap
             for dims in layouts:
-                register = PointerRegister(dims, index_labels(dims))
-                vector = random_state(rng, register.dim * system_dim)
-                total = TotalState(vector, register, system_dim)
+                vector = random_state(rng, prod(dims) * system_dim)
+                total = TotalState(vector, system_dim, index_labels(dims))
                 assert_bit_identical(
                     reduced_system_state(total).mat,
-                    outer_product_reduction(total.vector, register.dim, system_dim).mat,
+                    outer_product_reduction(total.vector, prod(dims), system_dim).mat,
                 )
 
     def test_deep_two_qubit_route_matches_oracle_bit_for_bit(self):
@@ -215,14 +217,13 @@ class TestReducedState:
         assert total.vector.size == MAX_DIM
         assert_bit_identical(
             reduced_system_state(total).mat,
-            outer_product_reduction(total.vector, total.probe.dim, total.system_dim).mat,
+            outer_product_reduction(total.vector, total.register_dim, total.system_dim).mat,
         )
 
     def test_reduction_never_builds_the_total_density_matrix(self):
         # The dense (p·s)² outer product at the cap alone is 16 MiB.
         rng = np.random.default_rng(108)
-        register = PointerRegister((2,) * 8, index_labels((2,) * 8))
-        total = TotalState(random_state(rng, MAX_DIM), register, 4)
+        total = TotalState(random_state(rng, MAX_DIM), 4, index_labels((2,) * 8))
         tracemalloc.start()
         try:
             reduced_system_state(total)
@@ -273,7 +274,7 @@ class TestLabels:
     def test_eigenvalues_become_short_decimals(self):
         obs = spectral_decompose(np.diag([0.5, 0.5, -1.25]).astype(complex))
         total = interact(init_total(np.array([1, 0, 0], dtype=complex)), obs)
-        assert total.probe.stage_labels == (("0.5", "-1.25"),)
+        assert total.stage_labels == (("0.5", "-1.25"),)
 
     def test_irrational_eigenvalues_fall_back_to_indices(self):
         s3 = np.sqrt(3.0)
@@ -282,16 +283,16 @@ class TestLabels:
         m = (1 + s3) * np.outer(d1, d1.conj()) + (1 - s3) * np.outer(d2, d2.conj())
         obs = spectral_decompose(m)
         total = interact(init_total(np.array([0, 0, 1], dtype=complex)), obs)
-        assert total.probe.stage_labels == (("g0", "0", "g2"),)
+        assert total.stage_labels == (("g0", "0", "g2"),)
 
     def test_negative_zero_is_normalized(self):
         obs = spectral_decompose(np.diag([1.0, -0.0]).astype(complex))
         total = interact(init_total(np.array([1, 0], dtype=complex)), obs)
-        assert total.probe.stage_labels == (("1", "0"),)
+        assert total.stage_labels == (("1", "0"),)
 
     def test_composite_labels_are_unique(self):
         total = fold(init_total(ETA), ("A", "B", "C"))
-        labels = total.probe.labels
+        labels = total.labels
         assert len(labels) == len(set(labels)) == 8
 
     def test_multicharacter_labels_get_separator_on_collision(self):
@@ -300,10 +301,10 @@ class TestLabels:
         e0 = np.zeros(2, dtype=complex)
         e0[0] = 1.0
         total = interact(interact(init_total(e0), obs2), obs2)
-        labels = total.probe.labels
+        labels = total.labels
         assert len(set(labels)) == 4
         assert "11,11" in labels
-        parts = mixed_radix_parts(total.probe.stage_dims, total.probe.stage_labels)
+        parts = mixed_radix_parts(stage_dims(total), total.stage_labels)
         assert labels == tuple(",".join(p) for p in parts)
 
     def test_labels_match_mixed_radix_oracle(self):
@@ -320,5 +321,7 @@ class TestLabels:
             if len(set(expect)) != len(expect):
                 expect = [",".join(p) for p in parts]
                 fell_back += 1
-            assert PointerRegister(dims, stage_labels).labels == tuple(expect)
+            register_only = np.zeros(prod(dims), dtype=complex)
+            register_only[0] = 1.0
+            assert TotalState(register_only, 1, stage_labels).labels == tuple(expect)
         assert fell_back > 0

@@ -27,10 +27,6 @@ ALLOWED = {
         "phase convention: the first eigenvector component above rounding "
         "noise is made real and positive; nothing passes or fails on it"
     ),
-    ("probe.py", "_decimal_label", 1e-9): (
-        "display: how near a rounded eigenvalue must be to print as a short "
-        "decimal register label"
-    ),
 }
 
 
