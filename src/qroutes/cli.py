@@ -236,17 +236,17 @@ def cmd_run(args) -> int:
         if args.tol is not None:
             scenario = scenario.with_tolerance(args.tol)
         report = run_scenario(scenario, probe=args.probe)
+        content = render_machine(report) if args.fmt == "json" else render_text(report)
+        if args.out:
+            Path(args.out).write_text(content)
+        else:
+            sys.stdout.write(content)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical invariant violation: {exc}", file=sys.stderr)
         return 3
-    content = render_machine(report) if args.fmt == "json" else render_text(report)
-    if args.out:
-        Path(args.out).write_text(content)
-    else:
-        sys.stdout.write(content)
     if report.probe_results is not None and not report.probe_consistent:
         print("numerical invariant violation: probe cross-check failed", file=sys.stderr)
         return 3

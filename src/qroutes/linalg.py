@@ -33,8 +33,7 @@ MATRIX_TOL = 1e-10  # hermiticity, commutation, reconstruction, route products
 GROUP_TOL = 1e-8  # eigenvalues this close share a group (default ``group_tol``)
 LABEL_TOL = 1e-9  # an eigenvalue this close to a short decimal is labelled by it
 # Absolute, for unit-scale objects:
-UNIT_TOL = 1e-10  # density matrices, state norms, basis spans, probe deviation
-TRACE_TOL = 1e-8  # projector trace against its degeneracy
+UNIT_TOL = 1e-10  # density matrices, state norms, eigenbases, probe deviation
 ZERO_TOL = 1e-12  # an outcome this unlikely has no post-measurement state
 DISTANCE_TOL = 1e-8  # default trace distance up to which two states are EQUAL
 
@@ -84,13 +83,13 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def hermitian_eigendecomposition(m, tol: float = MATRIX_TOL) -> list[tuple[float, np.ndarray]]:
+def hermitian_eigendecomposition(m, tol: float = MATRIX_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Full eigensystem of a Hermitian matrix, computed by LAPACK (``eigh``).
 
-    Returns ``[(eigenvalue, eigenvector), ...]`` sorted by descending
-    eigenvalue. Ties are ordered by the index of the first nonzero
-    eigenvector component, and each eigenvector's phase is fixed so that
-    component is real and positive.
+    Returns ``(values, vectors)`` arrays as ``eigh`` does, column
+    ``vectors[:, i]`` the eigenvector of ``values[i]``, values descending.
+    Ties are ordered by the index of the first nonzero eigenvector
+    component, whose phase is fixed to make it real and positive.
 
     Raises HermiticityError when ``max |m - m†|`` exceeds
     ``scaled_tol(tol, m)``, that is ``tol`` times ``max(1, max |m_ij|)``.
@@ -102,15 +101,14 @@ def hermitian_eigendecomposition(m, tol: float = MATRIX_TOL) -> list[tuple[float
         raise HermiticityError(f"max |m - m†| = {defect:.3e} exceeds tolerance {limit:.3e}")
     vals, vecs = np.linalg.eigh(_hermitian_part(m))
     if vals.size == 0:
-        return []
+        return vals, vecs
     mags = np.abs(vecs)
     # first component above 1e-8 of the column's largest one
     lead = (mags > 1e-8 * mags.max(axis=0)).argmax(axis=0)
     cols = np.arange(vals.size)
     vecs = vecs * (mags[lead, cols] / vecs[lead, cols])
     order = np.lexsort((lead, -vals))
-    rows = vecs.T[order]
-    return [(float(vals[i]), row) for i, row in zip(order, rows)]
+    return vals[order], vecs[:, order]
 
 
 @dataclass(frozen=True, eq=False)

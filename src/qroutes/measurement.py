@@ -1,9 +1,9 @@
 """Spectral decomposition of observables and projective state updates.
 
 An observable is carried together with its eigenvalue groups: one group
-per distinct eigenvalue, each holding the eigenspace projector and an
-orthonormal basis of that eigenspace derived from the projector alone. The
-two update rules differ exactly where degeneracy appears:
+per distinct eigenvalue, each holding an orthonormal basis of its
+eigenspace; its projector and von Neumann refinement basis are derived on
+demand. The two update rules differ exactly where degeneracy appears:
 
 * Lueders:     rho' = sum_n  P_n rho P_n          (one term per group)
 * von Neumann: rho' = sum_ni |x_ni><x_ni| rho |x_ni><x_ni|   (rank one)
@@ -15,8 +15,8 @@ degenerate eigenspace.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .errors import (
 from .linalg import (
     GROUP_TOL,
     MATRIX_TOL,
-    TRACE_TOL,
     UNIT_TOL,
     ZERO_TOL,
     DensityMatrix,
@@ -54,26 +53,46 @@ class ProjectionRule(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class EigenGroup:
-    """One distinct eigenvalue with its eigenspace."""
+    """One distinct eigenvalue with its eigenspace, spanned by the orthonormal
+    rows of ``basis`` (a read-only (k, n) complex copy); ``projector`` and
+    ``refinement`` are computed from it on first use and then kept."""
 
     eigenvalue: float
-    degeneracy: int
-    projector: np.ndarray
-    basis: tuple[np.ndarray, ...]
+    basis: np.ndarray
+
+    def __post_init__(self):
+        # C order whatever the input's layout, so the projector's bits do not depend on it
+        b = np.array(self.basis, dtype=complex, order="C")
+        if b.ndim != 2 or not np.isfinite(b).all():
+            raise DimensionError(f"eigenspace basis must be a finite 2-D array of rows, got shape {b.shape}")
+        b.setflags(write=False)
+        object.__setattr__(self, "basis", b)
+
+    @property
+    def degeneracy(self) -> int:
+        return len(self.basis)
+
+    @cached_property
+    def projector(self) -> np.ndarray:
+        return self.basis.T @ self.basis.conj()
+
+    @cached_property
+    def refinement(self) -> np.ndarray:
+        """Orthonormal rows spanning the eigenspace, fixed by ``projector`` alone."""
+        return _eigenspace_basis(self.projector, self.degeneracy)
 
 
 @dataclass(frozen=True, eq=False)
 class Observable:
     """A Hermitian operator plus its grouped eigensystem.
 
-    Groups are ordered by descending eigenvalue. Invariants (distinct
-    eigenvalues, degeneracies summing to the dimension, projector
-    completeness, reconstruction of the matrix) are checked on
-    construction, each failure raising InvariantError. The projector and
-    basis checks are absolute; reconstruction is checked to
-    ``scaled_tol(MATRIX_TOL, matrix)``. Build instances
-    through ``spectral_decompose`` unless a specific intra-eigenspace basis
-    is wanted.
+    Groups are ordered by descending eigenvalue. Invariants (basis rows of
+    the matrix's length, distinct eigenvalues, degeneracies summing to the
+    dimension, an orthonormal and complete stacked basis, reconstruction
+    of the matrix) are checked on construction, each failure raising
+    InvariantError. The basis checks are absolute; reconstruction is
+    checked to ``scaled_tol(MATRIX_TOL, matrix)``. The updates read only
+    projectors, so any orthonormal basis of an eigenspace does as well.
     """
 
     matrix: np.ndarray
@@ -85,35 +104,24 @@ class Observable:
         dim = m.shape[0]
         if not self.groups:
             raise InvariantError("observable needs at least one eigenvalue group")
+        lengths = {g.basis.shape[1] for g in self.groups} - {dim}
+        if lengths:
+            raise InvariantError(f"basis rows have length {min(lengths)}, the matrix dimension is {dim}")
         vals = [g.eigenvalue for g in self.groups]
         if any(a <= b for a, b in zip(vals, vals[1:])):
             raise InvariantError(f"group eigenvalues must strictly decrease, got {vals}")
         degs = [g.degeneracy for g in self.groups]
         if sum(degs) != dim:
             raise InvariantError("group degeneracies must sum to the dimension")
-        if any(d != len(g.basis) for d, g in zip(degs, self.groups)):
-            raise InvariantError("degeneracy disagrees with the stored basis size")
-        projectors = np.array([g.projector for g in self.groups])
-        if (abs(projectors.trace(axis1=1, axis2=2).real - degs) > TRACE_TOL).any():
-            raise InvariantError("projector trace disagrees with the degeneracy")
-        # Every basis vector as a row, group after group: group i owns the
-        # rows starts[i]:starts[i + 1]. The span check runs one product
-        # per group so its temporaries stay n x n; a batched product would
-        # allocate G x n x n at once.
-        basis = np.array([v for g in self.groups for v in g.basis])
-        starts = [0, *itertools.accumulate(degs)]
-        for projector, a, b in zip(projectors, starts, starts[1:]):
-            rows = basis[a:b]
-            if abs(rows.T @ rows.conj() - projector).max() > UNIT_TOL:
-                raise InvariantError("stored basis does not span the group projector")
-        # Orthonormality of the stacked basis implies projector idempotence
-        # and pairwise orthogonality in one pass.
+        # Every basis vector as a row, group after group: orthonormal rows make
+        # the projectors idempotent and pairwise orthogonal.
+        u = np.concatenate([g.basis for g in self.groups])
         eye = np.eye(dim)
-        if abs(basis.conj() @ basis.T - eye).max() > UNIT_TOL:
+        if abs(u.conj() @ u.T - eye).max() > UNIT_TOL:
             raise InvariantError("eigenbasis is not orthonormal")
-        if abs(projectors.sum(axis=0) - eye).max() > UNIT_TOL:
+        if abs(u.T @ u.conj() - eye).max() > UNIT_TOL:
             raise InvariantError("eigenspace projectors do not sum to the identity")
-        rebuilt = np.tensordot(vals, projectors, axes=1)
+        rebuilt = (u.T * np.repeat(vals, degs)) @ u.conj()
         if abs(rebuilt - m).max() > scaled_tol(MATRIX_TOL, m):
             raise InvariantError(
                 "groups do not reconstruct the observable matrix; "
@@ -145,11 +153,9 @@ def spectral_decompose(m, group_tol: float = GROUP_TOL, *, label: str = "") -> O
     ``hermitian_eigendecomposition``'s, scaled by the entries of ``m``.
     """
     m = as_matrix(m)
-    pairs = hermitian_eigendecomposition(m)
-    if not pairs:
+    vals, vecs = hermitian_eigendecomposition(m)
+    if not vals.size:
         raise DimensionError("cannot decompose an empty matrix")
-    vals = np.array([val for val, _ in pairs])
-    vecs = np.array([vec for _, vec in pairs])
     band = scaled_tol(group_tol, vals)
     gaps = vals[:-1] - vals[1:]
     split = gaps > band
@@ -166,23 +172,15 @@ def spectral_decompose(m, group_tol: float = GROUP_TOL, *, label: str = "") -> O
             f"eigenvalues merged into one group spread over {spread:.3e}, "
             f"more than the grouping tolerance {band:.3e}"
         )
-    groups = []
-    for a, b in zip(bounds, bounds[1:]):
-        block = vecs[a:b]
-        projector = block.T @ block.conj()
-        groups.append(
-            EigenGroup(
-                eigenvalue=float(vals[a:b].sum() / (b - a)),  # np.mean, bit for bit
-                degeneracy=b - a,
-                projector=projector,
-                basis=_eigenspace_basis(projector, b - a),
-            )
-        )
-    return Observable(matrix=m, groups=tuple(groups), label=label)
+    groups = tuple(
+        EigenGroup(float(vals[a:b].sum() / (b - a)), vecs[:, a:b].T)  # np.mean, bit for bit
+        for a, b in zip(bounds, bounds[1:])
+    )
+    return Observable(matrix=m, groups=groups, label=label)
 
 
-def _eigenspace_basis(projector: np.ndarray, degeneracy: int) -> tuple[np.ndarray, ...]:
-    """Orthonormal basis of a projector's range, fixed by the projector alone.
+def _eigenspace_basis(projector: np.ndarray, degeneracy: int) -> np.ndarray:
+    """Orthonormal rows spanning a projector's range, fixed by the projector alone.
 
     Gram-Schmidt over the projector's columns in index order, each
     re-orthogonalised once; a column is kept when its residual norm^2
@@ -207,7 +205,7 @@ def _eigenspace_basis(projector: np.ndarray, degeneracy: int) -> tuple[np.ndarra
             q[k] = r / np.sqrt(norm2)
             q_conj[k] = q[k].conj()
             k += 1
-    return tuple(q)
+    return q
 
 
 def _check_dims(rho: DensityMatrix, obs: Observable) -> None:
@@ -227,19 +225,19 @@ def luders_update(rho: DensityMatrix, obs: Observable) -> DensityMatrix:
 
 
 def von_neumann_update(rho: DensityMatrix, obs: Observable) -> DensityMatrix:
-    """Non-selective rank-one update over each group's stored basis.
+    """Non-selective rank-one update over each group's refinement basis.
 
-    The state is dephased in the refinement basis, so the result can
-    depend on which intra-eigenspace basis the observable carries;
-    ``spectral_decompose`` fixes that basis from the projector alone. A fully
-    degenerate observable (a single eigenvalue on the whole space) leaves
-    no preferred refinement at all and maps every state to the maximally
-    mixed one.
+    Each eigenspace is dephased in the basis its projector alone fixes
+    (``EigenGroup.refinement``), whichever eigenvectors the observable
+    stores; to dephase in another basis, measure a nondegenerate refinement
+    of the observable. A fully degenerate observable (a single eigenvalue
+    on the whole space) leaves no preferred refinement at all and maps
+    every state to the maximally mixed one.
     """
     _check_dims(rho, obs)
     if len(obs.groups) == 1:
         return DensityMatrix(np.eye(rho.dim, dtype=complex) / rho.dim)
-    u = np.column_stack([v for g in obs.groups for v in g.basis])
+    u = np.hstack([g.refinement.T for g in obs.groups])
     weights = np.diag(u.conj().T @ rho.mat @ u).real
     out = (u * weights) @ u.conj().T
     return DensityMatrix(out)

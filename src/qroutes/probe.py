@@ -46,10 +46,11 @@ class TotalState:
     """A pure state of pointer registers joined with the system.
 
     ``stage_labels`` holds one tuple of outcome labels per measurement, in
-    measurement order, and is the whole register: its dimension is the
-    product of the label counts. In the flat register index the most
-    recent stage varies slowest; composite labels always read in
-    measurement order (first measurement first).
+    measurement order (sequences given are stored as tuples), and is the
+    whole register: its dimension is the product of the label counts. In
+    the flat register index the most recent stage varies slowest;
+    composite labels always read in measurement order (first measurement
+    first).
     """
 
     vector: np.ndarray
@@ -57,6 +58,7 @@ class TotalState:
     stage_labels: tuple[tuple[str, ...], ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "stage_labels", tuple(map(tuple, self.stage_labels)))
         v = np.asarray(self.vector, dtype=complex).reshape(-1)
         if v.size != self.register_dim * self.system_dim:
             raise DimensionError(

@@ -99,7 +99,7 @@ def oracle_trace_distance(x: np.ndarray, y: np.ndarray) -> float:
 
 def jacobi_trace_distance(x: np.ndarray, y: np.ndarray) -> float:
     """Independent reference via the Jacobi oracle."""
-    return 0.5 * float(np.sum(np.abs([val for val, _ in jacobi_eigensystem(x - y)])))
+    return 0.5 * float(np.sum(np.abs(jacobi_eigensystem(x - y)[0])))
 
 
 def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
@@ -134,7 +134,7 @@ def _first_nonzero(v: np.ndarray) -> int:
     return 0
 
 
-def jacobi_eigensystem(m: np.ndarray) -> list[tuple[float, np.ndarray]]:
+def jacobi_eigensystem(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigensystem of a Hermitian matrix by cyclic Jacobi rotations.
 
     Same contract as ``hermitian_eigendecomposition``: descending
@@ -168,7 +168,7 @@ def jacobi_eigensystem(m: np.ndarray) -> list[tuple[float, np.ndarray]]:
         vec *= np.conj(ph)
         pairs.append((float(vals[i]), j, vec))
     pairs.sort(key=lambda item: (-item[0], item[1]))
-    return [(val, vec) for val, _, vec in pairs]
+    return np.array([val for val, _, _ in pairs]), np.column_stack([vec for _, _, vec in pairs])
 
 
 def partial_trace(m, dims, keep: int) -> np.ndarray:
@@ -218,12 +218,13 @@ def mixed_radix_parts(stage_dims, stage_labels) -> list[tuple[str, ...]]:
 
 
 def loop_spectral_groups(m: np.ndarray, group_tol: float = 1e-8) -> list[tuple]:
-    """``(eigenvalue, degeneracy, projector, basis)`` per group, grouped
-    pair by pair as ``spectral_decompose`` once did (no ambiguity check):
-    each cluster's vectors stacked on their own, its eigenvalue the
+    """``(eigenvalue, degeneracy, projector, refinement)`` per group,
+    grouped pair by pair as ``spectral_decompose`` once did (no ambiguity
+    check): each cluster's vectors stacked on their own, its eigenvalue the
     ``np.mean`` of a list, and Gram-Schmidt recomputing ``q[:k].conj()``
     for every column."""
-    pairs = hermitian_eigendecomposition(m)
+    vals, vecs = hermitian_eigendecomposition(m)
+    pairs = list(zip(vals.tolist(), vecs.T))
     clusters = [[pairs[0]]]
     for prev, cur in zip(pairs, pairs[1:]):
         if prev[0] - cur[0] <= group_tol:

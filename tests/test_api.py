@@ -1,4 +1,8 @@
-"""The public names of ``qroutes``, pinned: growing or shrinking them is a deliberate edit."""
+"""The public names of ``qroutes`` and the shapes of its eigensystems, pinned: changing them is a deliberate edit."""
+
+import dataclasses
+
+import numpy as np
 
 import qroutes
 
@@ -54,3 +58,13 @@ def test_public_names_are_pinned_and_resolve():
     assert sorted(qroutes.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(qroutes, name) is not None
+
+
+def test_eigen_group_holds_an_eigenvalue_and_a_basis():
+    assert tuple(f.name for f in dataclasses.fields(qroutes.EigenGroup)) == ("eigenvalue", "basis")
+
+
+def test_eigendecomposition_returns_arrays():
+    vals, vecs = qroutes.hermitian_eigendecomposition(np.diag([1.0, 2.0, 3.0]))
+    assert isinstance(vals, np.ndarray) and vals.shape == (3,)
+    assert isinstance(vecs, np.ndarray) and vecs.shape == (3, 3)

@@ -217,6 +217,13 @@ class TestRunFromFile:
         assert code == 2
         assert "error:" in err
 
+    def test_unwritable_out_path(self, capsys, tmp_path):
+        target = tmp_path / "no-such-dir" / "report.json"
+        code, out, err = run_cli(capsys, "run", "qutrit-paper", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+
     def test_invalid_file_content(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{]")

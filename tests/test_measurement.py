@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    degenerate_scenario,
     dephased,
     hermitian_with_spectrum,
     jacobi_eigensystem,
@@ -15,7 +16,7 @@ from helpers import (
     state_after_a,
     state_after_direct_c,
 )
-from qroutes import measurement
+from qroutes import builtin, measurement
 from qroutes import (
     AmbiguousGroupingError,
     DensityMatrix,
@@ -27,11 +28,14 @@ from qroutes import (
     ZeroProbabilityError,
     apply_rule,
     hermitian_eigendecomposition,
+    init_total,
+    interact,
     luders_update,
     selective_outcome,
     spectral_decompose,
     von_neumann_update,
 )
+from qroutes.cli import run_scenario
 
 A = np.diag([1, 1, 0]).astype(complex)
 B = np.diag([0, 1, 1]).astype(complex)
@@ -124,11 +128,11 @@ class TestSpectralDecompose:
             obs = spectral_decompose(m)
             expected = loop_spectral_groups(m)
             assert len(obs.groups) == len(expected)
-            for g, (value, degeneracy, projector, basis) in zip(obs.groups, expected):
+            for g, (value, degeneracy, projector, refinement) in zip(obs.groups, expected):
                 assert np.float64(g.eigenvalue).tobytes() == np.float64(value).tobytes()
                 assert g.degeneracy == degeneracy
                 assert g.projector.tobytes() == projector.tobytes()
-                assert np.array(g.basis).tobytes() == np.array(basis).tobytes()
+                assert g.refinement.tobytes() == np.array(refinement).tobytes()
 
     def test_merging_a_wide_real_gap_is_rejected(self):
         # Gaps below group_tol but far above eigensolver noise cannot be
@@ -165,62 +169,53 @@ class TestObservableValidation:
         assert obs.matrix[0, 0] == 1.0
 
 
+class TestEigenGroup:
+    def test_stores_a_read_only_complex_copy_of_the_basis(self):
+        given = np.array([[1, 0, 0], [0, 1, 0]])
+        group = EigenGroup(1.0, given)
+        assert group.basis.dtype == complex
+        assert group.basis.shape == (2, 3)
+        assert group.degeneracy == 2
+        assert not group.basis.flags.writeable
+        given[0, 0] = 5
+        assert group.basis[0, 0] == 1.0
+        assert EigenGroup(0.0, [(0, 0, 1)]).basis.shape == (1, 3)
+
+    @pytest.mark.parametrize("basis", [np.ones(3), np.ones((1, 1, 3)), [[np.nan, 0, 0]]])
+    def test_refuses_a_basis_that_is_not_finite_rows(self, basis):
+        with pytest.raises(DimensionError, match="^eigenspace basis must be a finite 2-D array of rows"):
+            EigenGroup(1.0, basis)
+
+    def test_projector_and_refinement_come_from_the_basis(self):
+        s = np.sqrt(0.5)
+        group = EigenGroup(1.0, [[s, s, 0], [0, 0, 1]])
+        assert np.allclose(group.projector, [[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, 1]], atol=1e-15)
+        assert group.projector is group.projector  # computed once
+        assert np.allclose(group.refinement, group.basis, atol=1e-15)
+
+
 E = np.eye(3, dtype=complex)
-
-
-def _group(value, vectors, projector=None):
-    """An eigenvalue group over the given basis vectors; its projector is
-    built from them unless one is given."""
-    basis = tuple(np.asarray(v, dtype=complex) for v in vectors)
-    if projector is None:
-        projector = sum(np.outer(v, v.conj()) for v in basis)
-    return EigenGroup(value, len(basis), projector, basis)
+W = np.exp(-2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)  # unitary DFT
 
 
 def _good_groups():
-    return [_group(1.0, [E[0], E[1]]), _group(0.0, [E[2]])]
+    return [EigenGroup(1.0, E[:2]), EigenGroup(0.0, E[2:])]
 
 
-def _basis_too_short():
-    g = _good_groups()
-    g[0] = EigenGroup(1.0, 2, g[0].projector, g[0].basis[:1])
-    return g
-
-
-def _projector_trace_off():
-    g = _good_groups()
-    g[1] = _group(0.0, [E[2]], projector=2 * np.outer(E[2], E[2]))
-    return g
-
-
-def _projector_off_its_basis():
-    # Trace 2 as required, but the range is span(e0, e2), not span(e0, e1).
-    g = _good_groups()
-    g[0] = _group(1.0, [E[0], E[1]], projector=np.diag([1, 0, 1]).astype(complex))
-    return g
-
-
-def _projector_just_off_its_basis():
-    # 2e-10 off in one entry: inside the trace check's 1e-8, outside 1e-10.
-    g = _good_groups()
-    g[0] = _group(1.0, [E[0], E[1]], projector=np.diag([1 + 2e-10, 1, 0]).astype(complex))
-    return g
+def _rank_one_groups(u):
+    return [EigenGroup(v, row[None]) for v, row in zip((2.0, 1.0, 0.0), u)]
 
 
 def _overlapping_groups():
-    # Each group's basis spans its projector, but e0 sits in both groups.
-    return [_group(1.0, [E[0]]), _group(0.0, [E[0], E[1]])]
+    # Orthonormal rows within each group, but e0 sits in both groups.
+    return [EigenGroup(1.0, E[:1]), EigenGroup(0.0, E[:2])]
 
 
 def _projectors_off_identity():
-    # Three rank-one groups, each projector 0.9e-10 off its basis in the
-    # (0, 0) entry: every per-group check passes, their sum misses the
+    # The DFT basis with its first column stretched by 2.7e-10 in norm^2:
+    # its rows are orthonormal to 0.9e-10, their projectors miss the
     # identity by 2.7e-10.
-    bump = np.zeros((3, 3), dtype=complex)
-    bump[0, 0] = 0.9e-10
-    return [
-        _group(v, [e], projector=np.outer(e, e) + bump) for v, e in zip((2.0, 1.0, 0.0), E)
-    ]
+    return _rank_one_groups(W * [np.sqrt(1 + 2.7e-10), 1, 1])
 
 
 class TestObservableMessages:
@@ -230,19 +225,15 @@ class TestObservableMessages:
         "make_groups, matrix, message",
         [
             (lambda: [], A, "observable needs at least one eigenvalue group"),
+            (lambda: [EigenGroup(1.0, E)], np.eye(4), "basis rows have length 3, the matrix dimension is 4"),
             (lambda: _good_groups()[::-1], A, "group eigenvalues must strictly decrease, got [0.0, 1.0]"),
             (lambda: _good_groups()[:1], A, "group degeneracies must sum to the dimension"),
-            (_basis_too_short, A, "degeneracy disagrees with the stored basis size"),
-            (_projector_trace_off, A, "projector trace disagrees with the degeneracy"),
-            (_projector_off_its_basis, A, "stored basis does not span the group projector"),
-            (_projector_just_off_its_basis, A, "stored basis does not span the group projector"),
             (_overlapping_groups, A, "eigenbasis is not orthonormal"),
             (_projectors_off_identity, np.diag([2, 1, 0]).astype(complex), "eigenspace projectors do not sum to the identity"),
             (_good_groups, B, "groups do not reconstruct the observable matrix; the eigenvalue grouping may be too coarse"),
         ],
         ids=[
-            "empty", "unsorted", "degeneracy-sum", "basis-size", "projector-trace",
-            "basis-spans-projector", "basis-spans-projector-2e-10", "orthonormality", "completeness", "reconstruction",
+            "empty", "row-length", "unsorted", "degeneracy-sum", "orthonormality", "completeness", "reconstruction",
         ],
     )
     def test_message(self, make_groups, matrix, message):
@@ -255,12 +246,16 @@ class TestObservableMessages:
         assert obs.eigenvalues == (1.0, 0.0)
 
     def test_just_inside_every_threshold_passes(self):
-        # One projector 0.9e-10 off its basis passes the span, completeness
-        # and reconstruction checks: their thresholds stay at 1e-10.
-        bump = np.zeros((3, 3), dtype=complex)
-        bump[0, 0] = 0.9e-10
-        groups = [_group(1.0, [E[0], E[1]], projector=np.diag([1, 1, 0]) + bump), _group(0.0, [E[2]])]
-        Observable(matrix=A + bump, groups=tuple(groups))
+        # The first basis row 0.9e-10 longer in norm^2: orthonormality and
+        # completeness are 0.9e-10 off, and so is reconstruction against a
+        # matrix 1.8e-10 off A. Their thresholds stay at 1e-10.
+        stretched = E * [[np.sqrt(1 + 0.9e-10)], [1], [1]]
+        groups = (EigenGroup(1.0, stretched[:2]), EigenGroup(0.0, stretched[2:]))
+        Observable(matrix=np.diag([1 + 1.8e-10, 1, 0]), groups=groups)
+        # The DFT basis stretched as in the completeness case, 0.9e-10 in
+        # norm^2 instead of 2.7e-10.
+        rows = W * [np.sqrt(1 + 0.9e-10), 1, 1]
+        Observable(matrix=(rows.T * [2.0, 1.0, 0.0]) @ rows.conj(), groups=tuple(_rank_one_groups(rows)))
 
 
 class TestLudersUpdate:
@@ -326,26 +321,30 @@ class TestVonNeumannUpdate:
             )
 
     def test_depends_on_stored_basis(self):
-        # Two decompositions of the same matrix, differing only in how the
-        # degenerate eigenspace is spanned, give different fine-grained updates
-        # while the coarse-grained update cannot see the difference.
-        obs_canonical = spectral_decompose(A)
+        # Rotating the stored basis inside the degenerate eigenspace of A
+        # moves neither rule: both read only the projectors.
+        rho = eta_density()
+        canonical = spectral_decompose(A)
         rot = np.eye(3, dtype=complex)
         rot[:2, :2] = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-        groups = list(obs_canonical.groups)
-        g0 = groups[0]
-        rotated = tuple(rot @ v for v in g0.basis)
-        groups[0] = dataclasses.replace(g0, basis=rotated)
-        obs_rotated = Observable(matrix=obs_canonical.matrix, groups=tuple(groups))
-
-        rho = eta_density()
-        fine_a = von_neumann_update(rho, obs_canonical)
-        fine_b = von_neumann_update(rho, obs_rotated)
-        assert np.abs(fine_a.mat - fine_b.mat).max() > 1e-3
-        coarse_a = luders_update(rho, obs_canonical)
-        coarse_b = luders_update(rho, obs_rotated)
-        assert np.allclose(coarse_a.mat, coarse_b.mat, atol=1e-12)
-
+        groups = list(canonical.groups)
+        groups[0] = dataclasses.replace(groups[0], basis=groups[0].basis @ rot.T)
+        rotated = Observable(matrix=A, groups=tuple(groups))
+        for update in (luders_update, von_neumann_update):
+            assert np.abs(update(rho, canonical).mat - update(rho, rotated).mat).max() <= 1e-12
+        # Dephasing A's eigenspace in another basis is a measurement of a
+        # nondegenerate refinement of A. Two refinements leave different
+        # states, while Lueders on A built from either eigenbasis cannot
+        # tell them apart.
+        fine = []
+        coarse = []
+        for u in (np.eye(3, dtype=complex), rot):
+            refined = spectral_decompose((u * [2.0, 1.0, 0.0]) @ u.conj().T)
+            fine.append(von_neumann_update(rho, refined).mat)
+            degenerate = Observable(A, (EigenGroup(1.0, u.T[:2]), EigenGroup(0.0, u.T[2:])))
+            coarse.append(luders_update(rho, degenerate).mat)
+        assert np.abs(fine[0] - fine[1]).max() > 1e-3
+        assert np.abs(coarse[0] - coarse[1]).max() <= 1e-12
 
     def test_spectral_basis_ignores_the_solver_choice(self, monkeypatch):
         # spectral_decompose derives each group's basis from its projector,
@@ -357,16 +356,59 @@ class TestVonNeumannUpdate:
         reference = von_neumann_update(rho, spectral_decompose(m))
 
         def rotated_eigh(mat, tol=1e-10):
-            pairs = hermitian_eigendecomposition(mat, tol)
-            vecs = np.column_stack([w for _, w in pairs])
+            vals, vecs = hermitian_eigendecomposition(mat, tol)
             for start in (0, 3, 6):
                 vecs[:, start:start + 3] = vecs[:, start:start + 3] @ random_unitary(rng, 3)
-            return [(val, vec) for (val, _), vec in zip(pairs, vecs.T)]
+            return vals, vecs
 
         for solver in (rotated_eigh, lambda mat, tol=1e-10: jacobi_eigensystem(mat)):
             monkeypatch.setattr(measurement, "hermitian_eigendecomposition", solver)
             out = von_neumann_update(rho, spectral_decompose(m))
             assert np.abs(out.mat - reference.mat).max() <= 1e-12
+
+
+class TestRefinementOnDemand:
+    """Only the von Neumann rule builds refinement bases, once per group."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+        build = measurement._eigenspace_basis
+
+        def counted(projector, degeneracy):
+            made.append(degeneracy)
+            return build(projector, degeneracy)
+
+        monkeypatch.setattr(measurement, "_eigenspace_basis", counted)
+        return made
+
+    SCENARIOS = [builtin("qutrit-paper"), degenerate_scenario(7)]
+
+    @pytest.mark.parametrize("probe", [False, True])
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
+    def test_luders_runs_build_none(self, calls, scenario, probe):
+        run_scenario(scenario.with_rule(ProjectionRule.LUDERS), probe=probe)
+        assert calls == []
+
+    @pytest.mark.parametrize("probe", [False, True])
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
+    def test_von_neumann_runs_build_one_per_group(self, calls, scenario, probe):
+        run_scenario(scenario.with_rule(ProjectionRule.VON_NEUMANN), probe=probe)
+        registry = scenario.observable_registry()
+        used = {step for route in scenario.routes for step in route.steps}
+        assert all(len(registry[label].groups) > 1 for label in used)
+        assert sorted(calls) == sorted(g.degeneracy for label in used for g in registry[label].groups)
+
+    def test_the_other_consumers_read_projectors_only(self, calls):
+        obs = spectral_decompose(A)
+        rho = eta_density()
+        luders_update(rho, obs)
+        selective_outcome(rho, obs, 0)
+        interact(init_total(ETA), obs)
+        assert calls == []
+        von_neumann_update(rho, obs)
+        von_neumann_update(rho, obs)
+        assert calls == [2, 1]
 
 
 class TestApplyRule:

@@ -128,6 +128,14 @@ class TestInteract:
                 comp_r = np.kron(point_r, blocks[r])
                 assert np.vdot(comp_q, comp_r) == 0.0
 
+    def test_stage_labels_given_as_lists_are_stored_as_tuples(self):
+        given = TotalState(np.array([1, 0, 0, 0], dtype=complex), 2, [["1", "0"]])
+        assert given.stage_labels == (("1", "0"),)
+        total = interact(given, spectral_decompose(np.diag([1.0, 0.0])))
+        assert total.stage_labels == (("1", "0"), ("1", "0"))
+        assert total.labels == ("11", "01", "10", "00")
+        assert total.vector.tolist() == [1, 0, 0, 0, 0, 0, 0, 0]
+
     def test_rejects_wrong_system_dimension(self):
         sigma_x = spectral_decompose(np.array([[0, 1], [1, 0]], dtype=complex))
         with pytest.raises(DimensionError):
