@@ -68,11 +68,6 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def hermiticity_defect(m) -> float:
-    """Max-norm distance from a matrix to its own adjoint."""
-    return _defect(as_matrix(m))
-
-
 # The two helpers below take a matrix ``as_matrix`` has already coerced, so
 # a validating caller coerces its input once.
 def _defect(m: np.ndarray) -> float:

@@ -87,12 +87,13 @@ class Observable:
     """A Hermitian operator plus its grouped eigensystem.
 
     Groups are ordered by descending eigenvalue. Invariants (basis rows of
-    the matrix's length, distinct eigenvalues, degeneracies summing to the
-    dimension, an orthonormal and complete stacked basis, reconstruction
-    of the matrix) are checked on construction, each failure raising
-    InvariantError. The basis checks are absolute; reconstruction is
-    checked to ``scaled_tol(MATRIX_TOL, matrix)``. The updates read only
-    projectors, so any orthonormal basis of an eigenspace does as well.
+    the matrix's length, distinct eigenvalues, at least one basis row per
+    group, degeneracies summing to the dimension, an orthonormal and
+    complete stacked basis, reconstruction of the matrix) are checked on
+    construction, each failure raising InvariantError. The basis checks
+    are absolute; reconstruction is checked to ``scaled_tol(MATRIX_TOL,
+    matrix)``. The updates read only projectors, so any orthonormal basis
+    of an eigenspace does as well.
     """
 
     matrix: np.ndarray
@@ -111,6 +112,8 @@ class Observable:
         if any(a <= b for a, b in zip(vals, vals[1:])):
             raise InvariantError(f"group eigenvalues must strictly decrease, got {vals}")
         degs = [g.degeneracy for g in self.groups]
+        if 0 in degs:
+            raise InvariantError(f"eigenvalue {vals[degs.index(0)]} has an empty eigenspace basis")
         if sum(degs) != dim:
             raise InvariantError("group degeneracies must sum to the dimension")
         # Every basis vector as a row, group after group: orthonormal rows make

@@ -19,10 +19,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DimensionError, HermiticityError, InvariantError
+from .errors import DimensionError, HermiticityError, InvariantError, NumericalError
 from .errors import ParseError, UnknownScenarioError, ValidationError
-from .linalg import DISTANCE_TOL, MATRIX_TOL, UNIT_TOL, DensityMatrix, hermiticity_defect
-from .linalg import scaled_tol, unit_scaled
+from .linalg import DISTANCE_TOL, UNIT_TOL, DensityMatrix, unit_scaled
 from .measurement import Observable, ProjectionRule, spectral_decompose
 from .routes import Route
 
@@ -32,7 +31,12 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """An immutable, fully validated route-comparison problem."""
+    """An immutable, fully validated route-comparison problem.
+
+    Construction decomposes each observable once and keeps the result, so an
+    observable whose spectrum cannot be grouped is a violation like any other.
+    An ``Observable`` filed under its own label counts as decomposed already.
+    """
 
     name: str
     system_dim: int
@@ -42,24 +46,22 @@ class Scenario:
     target: str
     rule: ProjectionRule = ProjectionRule.LUDERS
     tolerance: float = DISTANCE_TOL
+    _registry: dict[str, Observable] = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
-        frozen = {}
-        for label, m in dict(self.observables).items():
-            a = np.array(m, dtype=complex)
-            a.setflags(write=False)
-            frozen[label] = a
-        object.__setattr__(self, "observables", MappingProxyType(frozen))
+        registry = dict(self.observables)
         object.__setattr__(self, "routes", tuple(self.routes))
         if not isinstance(self.initial_state, DensityMatrix):
             v = np.array(self.initial_state, dtype=complex).reshape(-1)
             v.setflags(write=False)
             object.__setattr__(self, "initial_state", v)
-        problems = self._violations()
+        problems = self._violations(registry)
         if problems:
             raise ValidationError(problems)
+        object.__setattr__(self, "_registry", registry)
+        object.__setattr__(self, "observables", MappingProxyType({k: o.matrix for k, o in registry.items()}))
 
-    def _violations(self) -> list[str]:
+    def _violations(self, registry: dict) -> list[str]:  # decomposes its matrices in place
         out = []
         if self.system_dim < 1:
             out.append(f"system_dim: must be positive, got {self.system_dim}")
@@ -83,28 +85,30 @@ class Scenario:
                 dev = abs(float(np.linalg.norm(unit)) * scale - 1.0)
                 if dev > UNIT_TOL:
                     out.append(f"initial_state.vector: norm deviates from 1 by {dev:.3e}")
-        for label, m in self.observables.items():
-            if m.ndim != 2 or m.shape != (self.system_dim, self.system_dim):
+        for label, m in registry.items():
+            kept = isinstance(m, Observable) and m.label == label  # decomposed already
+            a = m.matrix if kept else np.asarray(m, dtype=complex)
+            if a.shape != (self.system_dim, self.system_dim):
                 out.append(
-                    f"observables.{label}: shape {m.shape} != "
+                    f"observables.{label}: shape {a.shape} != "
                     f"({self.system_dim}, {self.system_dim})"
                 )
-                continue
-            if not np.all(np.isfinite(m)):
+            elif not kept and not np.all(np.isfinite(a)):
                 out.append(f"observables.{label}: non-finite entry")
-                continue
-            defect = hermiticity_defect(m)
-            if defect > scaled_tol(MATRIX_TOL, m):
-                out.append(
-                    f"observables.{label}: not Hermitian (max |M - M†| = {defect:.3e})"
-                )
+            elif not kept:
+                try:
+                    registry[label] = spectral_decompose(a, label=label)
+                except HermiticityError as exc:
+                    out.append(f"observables.{label}: not Hermitian ({exc})")
+                except NumericalError as exc:
+                    out.append(f"observables.{label}: {exc}")
         if len(self.routes) < 2:
             out.append("routes: at least two routes required")
         for i, route in enumerate(self.routes):
             for step in route.steps:
-                if step not in self.observables:
+                if step not in registry:
                     out.append(f"routes[{i}]: unresolved label {step!r}")
-        if self.target not in self.observables:
+        if self.target not in registry:
             out.append(f"target: unresolved label {self.target!r}")
         if not self.tolerance > 0:
             out.append(f"tolerance: must be positive, got {self.tolerance}")
@@ -118,22 +122,19 @@ class Scenario:
         return DensityMatrix.pure(self.initial_state)
 
     def observable_registry(self) -> dict[str, Observable]:
-        return {
-            label: spectral_decompose(m, label=label)
-            for label, m in self.observables.items()
-        }
+        """Label -> ``Observable`` as decomposed on construction, in a new dict."""
+        return dict(self._registry)
 
     def with_rule(self, rule: ProjectionRule) -> "Scenario":
         routes = tuple(dataclasses.replace(r, rule=rule) for r in self.routes)
-        return dataclasses.replace(self, rule=rule, routes=routes)
+        return dataclasses.replace(self, rule=rule, routes=routes, observables=self._registry)
 
     def with_state(self, vector) -> "Scenario":
-        return dataclasses.replace(
-            self, initial_state=np.asarray(vector, dtype=complex).reshape(-1)
-        )
+        vector = np.asarray(vector, dtype=complex).reshape(-1)
+        return dataclasses.replace(self, initial_state=vector, observables=self._registry)
 
     def with_tolerance(self, tolerance: float) -> "Scenario":
-        return dataclasses.replace(self, tolerance=tolerance)
+        return dataclasses.replace(self, tolerance=tolerance, observables=self._registry)
 
 
 def _build_qutrit() -> Scenario:
@@ -356,8 +357,15 @@ def write_json(doc) -> str:
     return _write(doc, 0) + "\n"
 
 
+# The keys scenario_document writes, and the only ones parse_scenario accepts.
+_FIELDS = ("name", "system_dim", "initial_state", "observables", "routes", "target", "rule", "tolerance")
+_ROUTE_FIELDS = ("name", "steps", "rule")
+
+
 def parse_scenario(text: str) -> Scenario:
-    """Build a Scenario from its file form, or fail with field context."""
+    """Build a Scenario from its file form, or fail with field context.
+
+    A key that ``scenario_document`` does not write is an unknown field."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -367,7 +375,7 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
 
-    problems: list[str] = []
+    problems = [f"{key}: unknown field" for key in doc if key not in _FIELDS]
 
     def fetch(key, kind, required=True, default=None):
         if key not in doc:
@@ -435,6 +443,7 @@ def parse_scenario(text: str) -> Scenario:
             if not isinstance(node, dict):
                 problems.append(f"routes[{i}]: expected an object")
                 continue
+            problems += [f"routes[{i}].{key}: unknown field" for key in node if key not in _ROUTE_FIELDS]
             steps = node.get("steps")
             if (
                 not isinstance(steps, list)

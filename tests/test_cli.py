@@ -10,7 +10,7 @@ import pytest
 
 import qroutes
 from helpers import degenerate_scenario
-from qroutes import Scenario, builtin, cli, serialize_scenario
+from qroutes import Scenario, builtin, cli, scenarios, serialize_scenario
 from qroutes.cli import main, render_machine, run_scenario
 from qroutes.scenarios import encode_complex_array
 
@@ -341,6 +341,11 @@ def _put(*path):
 
 _QUBIT_ID = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 
+
+def _diag(*values):
+    return encode_complex_array(np.diag(values).astype(complex)).tolist()
+
+
 # One edit of qutrit-paper per violation, with the exact line that names it.
 VIOLATIONS = [
     ("system-dim-0", _put("system_dim", 0), "system_dim: must be positive, got 0"),
@@ -368,6 +373,18 @@ VIOLATIONS = [
     ),
     ("route-name", _put("routes", 0, "name", 5), "routes[0].name: expected a string"),
     ("huge-tolerance-literal", _put("tolerance", _HUGE), "tolerance: must be finite, got inf"),
+    ("unknown-field", _put("toleranse", 1.0), "toleranse: unknown field"),
+    ("unknown-route-field", _put("routes", 0, "weight", 1.0), "routes[0].weight: unknown field"),
+    (
+        "ambiguous-gap",
+        _put("observables", "A", _diag(1.0, 1.0 + 3e-8, 0.0)),
+        "observables.A: eigenvalue gap 3.000e-08 falls inside (1.000e-08, 1.000e-07)",
+    ),
+    (
+        "merged-below-unit-scale",
+        _put("observables", "A", _diag(0.0, 1e-9, 2e-9)),
+        "observables.A: groups do not reconstruct the observable matrix; the eigenvalue grouping may be too coarse",
+    ),
 ]
 
 
@@ -515,16 +532,59 @@ class TestExitCodes:
         assert err == "numerical invariant violation: probe cross-check failed\n"
         assert [entry["consistent"] for entry in json.loads(out)["probe"]] == [False, False, False]
 
-    def test_reconstruction_failure_exits_3(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_reconstruction_failure_is_an_input_problem(self, capsys, tmp_path, command):
+        # spectral_decompose raises InvariantError (exit 3 for a library
+        # caller); a scenario reports it as a violation of its observable.
         path = _scenario_file(tmp_path, _coarse_grouping)
-        assert run_cli(capsys, "validate", path)[0] == 0
-        code, out, err = run_cli(capsys, "run", path)
-        assert code == 3
-        assert out == ""
+        code, out, err = run_cli(capsys, command, path)
+        prefix = "error: " if command == "run" else ""
+        assert (code, out) == (2, "")
         assert err == (
-            "numerical invariant violation: groups do not reconstruct the observable "
+            f"{prefix}observables.A: groups do not reconstruct the observable "
             "matrix; the eigenvalue grouping may be too coarse\n"
         )
+
+
+class TestOneDecompositionPerObservable:
+    """A Scenario decomposes each observable on construction, and nothing after."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+        decompose = scenarios.spectral_decompose
+
+        def counted(m, *args, **kwargs):
+            made.append(kwargs["label"])
+            return decompose(m, *args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "spectral_decompose", counted)
+        return made
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("validate", []),
+            ("run", []),
+            ("run", ["--rule", "von-neumann", "--state", AMP, "--tol", "0.1"]),
+            ("run", ["--tol", "0.1", "--rule", "luders", "--probe", "--format", "json"]),
+        ],
+        ids=["validate", "run", "run-rule-state-tol", "run-tol-rule-probe"],
+    )
+    def test_once_per_command(self, capsys, tmp_path, calls, command, options):
+        path = _scenario_file(tmp_path, lambda doc: None)  # dumps a built-in
+        calls.clear()
+        assert run_cli(capsys, command, path, *options)[0] == 0
+        assert sorted(calls) == ["A", "B", "C"]
+
+    def test_none_inside_run_scenario(self, calls):
+        scenario = builtin("qutrit-paper", state=[1, 0, 0])
+        scenario = scenario.with_rule(qroutes.ProjectionRule.VON_NEUMANN).with_tolerance(0.1)
+        assert sorted(calls) == ["A", "B", "C"]
+        calls.clear()
+        run_scenario(scenario)
+        run_scenario(scenario, probe=True)
+        assert calls == []
 
 
 def _report(*options, probe=False):

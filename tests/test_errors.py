@@ -154,6 +154,45 @@ def test_validated_files_exit_2_only_for_the_named_probe_refusals(
         assert (code, err) == (0, "")
 
 
+# O0 has one gap of 10**log_gap inside a spectrum of distinct integers in
+# [-2, 2], all scaled by 10**k: the gap falls below, inside or above the
+# grouping band (1e-8, 1e-7) * max(1, max |eigenvalue|).
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 4),
+    log_gap=st.floats(-10.0, -6.0),
+    k=st.integers(0, 6),
+)
+@example(seed=0, dim=3, log_gap=np.log10(3e-8), k=0)  # inside the band
+@example(seed=0, dim=3, log_gap=-9.0, k=0)  # merged, but too wide to reconstruct
+@example(seed=0, dim=3, log_gap=-6.0, k=6)  # split cleanly at scale
+def test_validate_and_run_agree_on_a_near_degenerate_gap(capsys, tmp_path, seed, dim, log_gap, k):
+    rng = np.random.default_rng(seed)
+    spectrum = rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0], size=dim - 1, replace=False)
+    spectrum = np.append(spectrum, spectrum[0] + 10.0**log_gap)
+    o0, _ = hermitian_with_spectrum(rng, 10.0**k * spectrum)
+    doc = json.loads(serialize_scenario(builtin("qutrit-paper")))
+    doc.update(
+        system_dim=dim,
+        initial_state={"vector": encode_complex_array(random_state(rng, dim)).tolist()},
+        observables={"O0": encode_complex_array(o0).tolist()},
+        routes=[{"name": "once", "steps": ["O0"]}, {"name": "twice", "steps": ["O0", "O0"]}],
+        target="O0",
+    )
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    validated = run_cli(capsys, "validate", str(path))
+    code, out, err = run_cli(capsys, "run", str(path))
+    if validated[0] == 0:
+        assert validated[1:] == ("OK\n", "")
+        assert (code, err) == (0, "")
+    else:
+        assert validated[:2] == (2, "")
+        assert validated[2].count("\n") == 1
+        assert (code, out, err) == (2, "", "error: " + validated[2])
+
+
 def _rotated_qutrit_file(path, k):
     """qutrit-paper with A and B in a seeded basis, scaled by 10**k; C = A @ B."""
     doc = json.loads(serialize_scenario(builtin("qutrit-paper")))

@@ -206,6 +206,11 @@ def _rank_one_groups(u):
     return [EigenGroup(v, row[None]) for v, row in zip((2.0, 1.0, 0.0), u)]
 
 
+def _empty_middle_group():
+    # Degeneracies 2 + 0 + 1 sum to the dimension, but no state has eigenvalue 0.5.
+    return [EigenGroup(1.0, E[:2]), EigenGroup(0.5, np.zeros((0, 3))), EigenGroup(0.0, E[2:])]
+
+
 def _overlapping_groups():
     # Orthonormal rows within each group, but e0 sits in both groups.
     return [EigenGroup(1.0, E[:1]), EigenGroup(0.0, E[:2])]
@@ -227,13 +232,14 @@ class TestObservableMessages:
             (lambda: [], A, "observable needs at least one eigenvalue group"),
             (lambda: [EigenGroup(1.0, E)], np.eye(4), "basis rows have length 3, the matrix dimension is 4"),
             (lambda: _good_groups()[::-1], A, "group eigenvalues must strictly decrease, got [0.0, 1.0]"),
+            (_empty_middle_group, A, "eigenvalue 0.5 has an empty eigenspace basis"),
             (lambda: _good_groups()[:1], A, "group degeneracies must sum to the dimension"),
             (_overlapping_groups, A, "eigenbasis is not orthonormal"),
             (_projectors_off_identity, np.diag([2, 1, 0]).astype(complex), "eigenspace projectors do not sum to the identity"),
             (_good_groups, B, "groups do not reconstruct the observable matrix; the eigenvalue grouping may be too coarse"),
         ],
         ids=[
-            "empty", "row-length", "unsorted", "degeneracy-sum", "orthonormality", "completeness", "reconstruction",
+            "empty", "row-length", "unsorted", "empty-group", "degeneracy-sum", "orthonormality", "completeness", "reconstruction",
         ],
     )
     def test_message(self, make_groups, matrix, message):
@@ -382,22 +388,29 @@ class TestRefinementOnDemand:
         monkeypatch.setattr(measurement, "_eigenspace_basis", counted)
         return made
 
-    SCENARIOS = [builtin("qutrit-paper"), degenerate_scenario(7)]
+    # Built inside each case: a scenario keeps its observables, and with them
+    # every refinement a run has built.
+    SCENARIOS = [lambda: builtin("qutrit-paper"), lambda: degenerate_scenario(7)]
+    IDS = ["qutrit-paper", "degenerate-24-seed7"]
 
     @pytest.mark.parametrize("probe", [False, True])
-    @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
-    def test_luders_runs_build_none(self, calls, scenario, probe):
-        run_scenario(scenario.with_rule(ProjectionRule.LUDERS), probe=probe)
+    @pytest.mark.parametrize("make", SCENARIOS, ids=IDS)
+    def test_luders_runs_build_none(self, calls, make, probe):
+        run_scenario(make().with_rule(ProjectionRule.LUDERS), probe=probe)
         assert calls == []
 
     @pytest.mark.parametrize("probe", [False, True])
-    @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
-    def test_von_neumann_runs_build_one_per_group(self, calls, scenario, probe):
-        run_scenario(scenario.with_rule(ProjectionRule.VON_NEUMANN), probe=probe)
+    @pytest.mark.parametrize("make", SCENARIOS, ids=IDS)
+    def test_von_neumann_runs_build_one_per_group(self, calls, make, probe):
+        scenario = make().with_rule(ProjectionRule.VON_NEUMANN)
+        run_scenario(scenario, probe=probe)
         registry = scenario.observable_registry()
         used = {step for route in scenario.routes for step in route.steps}
         assert all(len(registry[label].groups) > 1 for label in used)
         assert sorted(calls) == sorted(g.degeneracy for label in used for g in registry[label].groups)
+        calls.clear()
+        run_scenario(scenario, probe=probe)
+        assert calls == []
 
     def test_the_other_consumers_read_projectors_only(self, calls):
         obs = spectral_decompose(A)

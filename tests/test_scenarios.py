@@ -167,6 +167,25 @@ class TestScenarioMethods:
         with pytest.raises(TypeError):
             s.observables["Z"] = np.eye(3)
 
+    def test_overrides_hand_on_the_decomposed_observables(self):
+        s = builtin("qutrit-paper")
+        registry = s.observable_registry()
+        assert all(s.observables[label] is obs.matrix for label, obs in registry.items())
+        for t in (s.with_rule(ProjectionRule.VON_NEUMANN), s.with_state([0, 1, 0]), s.with_tolerance(0.1)):
+            assert all(t.observable_registry()[label] is obs for label, obs in registry.items())
+            assert all(t.observables[label] is obs.matrix for label, obs in registry.items())
+
+    def test_registry_is_a_new_dict(self):
+        s = builtin("qutrit-paper")
+        s.observable_registry().clear()
+        assert set(s.observable_registry()) == {"A", "B", "C"}
+
+
+def test_known_fields_are_the_written_keys():
+    doc = scenarios.scenario_document(builtin("qutrit-paper"))
+    assert tuple(doc) == scenarios._FIELDS
+    assert all(tuple(route) == scenarios._ROUTE_FIELDS for route in doc["routes"])
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize(
