@@ -55,11 +55,13 @@ from .routes import (
     run_route,
 )
 from .scenarios import (
+    RunReport,
     Scenario,
     builtin,
     builtin_descriptions,
     counterexample_basis,
     parse_scenario,
+    run_scenario,
     serialize_scenario,
 )
 
@@ -83,6 +85,7 @@ __all__ = [
     "QRoutesError",
     "Route",
     "RouteTargetWarning",
+    "RunReport",
     "Scenario",
     "TotalState",
     "UnknownLabelError",
@@ -105,6 +108,7 @@ __all__ = [
     "product_observable",
     "reduced_system_state",
     "run_route",
+    "run_scenario",
     "selective_outcome",
     "serialize_scenario",
     "spectral_decompose",

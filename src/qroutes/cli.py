@@ -8,107 +8,16 @@ so it can be diffed across runs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
-import time
-from dataclasses import dataclass
-from math import prod
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CapacityError, InputError, NumericalError
-from .errors import ParseError, UnknownScenarioError, ValidationError
-from .linalg import MAX_DIM, UNIT_TOL, unit_scaled
+from .errors import InputError, NumericalError, ParseError, UnknownScenarioError, ValidationError
+from .linalg import unit_scaled
 from .measurement import ProjectionRule
-from .probe import init_total, interact, probe_signal_distribution, reduced_system_state, stage_labels_for
-from .routes import ComparisonReport, run_route
-from .routes import compare_routes as _compare_routes
-from .scenarios import (
-    Scenario,
-    builtin,
-    builtin_descriptions,
-    encode_complex_array,
-    parse_scenario,
-    scenario_document,
-    write_json,
-)
-
-
-@dataclass(frozen=True, eq=False)
-class RunReport:
-    """Everything one scenario execution produced."""
-
-    scenario: Scenario
-    comparison: ComparisonReport
-    target_outcome_labels: tuple[str, ...]
-    probe_results: tuple[dict, ...] | None
-    duration_seconds: float
-
-    @property
-    def probe_consistent(self) -> bool:
-        if not self.probe_results:
-            return True
-        return all(r["consistent"] for r in self.probe_results)
-
-
-def run_scenario(scenario: Scenario, probe: bool = False) -> RunReport:
-    """Execute every route of the scenario and compare the final states."""
-    start = time.perf_counter()
-    if probe and not isinstance(scenario.initial_state, np.ndarray):
-        raise ValidationError(
-            ["initial_state: the probe cross-check needs a vector initial state"]
-        )
-    registry = scenario.observable_registry()
-    if probe:
-        # interact refuses the same register, but only once every route has run
-        for route in scenario.routes:
-            total = scenario.system_dim * prod(len(registry[s].groups) for s in route.steps)
-            if total > MAX_DIM:
-                raise CapacityError(
-                    f"route {route.display_name}: total dimension {total} exceeds the {MAX_DIM} limit"
-                )
-    initial = scenario.initial_density()
-    comparison = _compare_routes(
-        initial, list(scenario.routes), registry, scenario.target, scenario.tolerance
-    )
-    probe_results = None
-    if probe:
-        probe_results = _probe_cross_check(scenario, registry, initial, comparison)
-    duration = time.perf_counter() - start
-    return RunReport(
-        scenario=scenario,
-        comparison=comparison,
-        target_outcome_labels=stage_labels_for(registry[scenario.target]),
-        probe_results=probe_results,
-        duration_seconds=duration,
-    )
-
-
-def _probe_cross_check(scenario, registry, initial, comparison) -> tuple[dict, ...]:
-    # The register model realizes the Lueders semantics, so each route is
-    # checked against its Lueders evaluation whatever rule the report uses;
-    # a Lueders route's final state from the comparison is that evaluation.
-    # run_scenario has already refused a density-matrix initial state.
-    results = []
-    for route, final in zip(scenario.routes, comparison.final_states):
-        total = init_total(scenario.initial_state)
-        for label in route.steps:
-            total = interact(total, registry[label])
-        reduced = reduced_system_state(total)
-        reference = final if route.rule is ProjectionRule.LUDERS else run_route(
-            initial, dataclasses.replace(route, rule=ProjectionRule.LUDERS), registry
-        )
-        deviation = float(np.max(np.abs(reduced.mat - reference.mat)))
-        results.append(
-            {
-                "route": route.display_name,
-                "max_abs_deviation": deviation,
-                "consistent": deviation <= UNIT_TOL,
-                "signals": probe_signal_distribution(total),
-            }
-        )
-    return tuple(results)
+from .scenarios import RunReport, Scenario, builtin, builtin_descriptions, encode_complex_array
+from .scenarios import parse_scenario, run_scenario, scenario_document, write_json
 
 
 def _complex_cell(z: complex) -> str:
@@ -215,12 +124,21 @@ def _parse_state(text: str) -> np.ndarray:
     return unit / np.linalg.norm(unit)
 
 
+def _read_scenario(path) -> Scenario:
+    """Parse a scenario file, whose JSON text must be UTF-8 (RFC 8259 section 8.1)."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte {exc.start}: not UTF-8 ({exc.reason})") from None
+    return parse_scenario(text)
+
+
 def _load_scenario(source: str) -> Scenario:
     if source in builtin_descriptions():
         return builtin(source)
     path = Path(source)
     if path.exists():
-        return parse_scenario(path.read_text())
+        return _read_scenario(path)
     raise UnknownScenarioError(
         f"{source!r} is neither a built-in scenario nor a readable file"
     )
@@ -261,7 +179,7 @@ def cmd_list(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        parse_scenario(Path(args.file).read_text())
+        _read_scenario(args.file)
     except ParseError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2

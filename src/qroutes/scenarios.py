@@ -1,7 +1,8 @@
 """Built-in measurement-route scenarios and a scenario file format.
 
 A scenario bundles an initial state, a registry of labelled observables,
-the routes to compare, and the comparison target. Files are JSON with
+the routes to compare, and the comparison target; ``run_scenario`` runs
+its routes and returns a ``RunReport``. Files are JSON with
 complex numbers written as [re, im] pairs and matrices as row-major
 nested arrays. This module owns that format: ``write_json`` writes scenario
 files and run reports alike, byte for byte as ``json.dumps(indent=2)``
@@ -13,17 +14,20 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import time
 from dataclasses import dataclass
+from math import prod
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
-from .errors import DimensionError, HermiticityError, InvariantError, NumericalError
+from .errors import CapacityError, DimensionError, HermiticityError, InvariantError, NumericalError
 from .errors import ParseError, UnknownScenarioError, ValidationError
-from .linalg import DISTANCE_TOL, UNIT_TOL, DensityMatrix, unit_scaled
+from .linalg import DISTANCE_TOL, MAX_DIM, UNIT_TOL, DensityMatrix, unit_scaled
 from .measurement import Observable, ProjectionRule, spectral_decompose
-from .routes import Route
+from .probe import init_total, interact, probe_signal_distribution, reduced_system_state, stage_labels_for
+from .routes import ComparisonReport, Route, compare_routes, run_route
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -35,7 +39,8 @@ class Scenario:
 
     Construction decomposes each observable once and keeps the result, so an
     observable whose spectrum cannot be grouped is a violation like any other.
-    An ``Observable`` filed under its own label counts as decomposed already.
+    An ``Observable`` filed under its own label counts as decomposed already;
+    one filed under another label is decomposed again under that label.
     """
 
     name: str
@@ -87,7 +92,7 @@ class Scenario:
                     out.append(f"initial_state.vector: norm deviates from 1 by {dev:.3e}")
         for label, m in registry.items():
             kept = isinstance(m, Observable) and m.label == label  # decomposed already
-            a = m.matrix if kept else np.asarray(m, dtype=complex)
+            a = m.matrix if isinstance(m, Observable) else np.asarray(m, dtype=complex)
             if a.shape != (self.system_dim, self.system_dim):
                 out.append(
                     f"observables.{label}: shape {a.shape} != "
@@ -135,6 +140,82 @@ class Scenario:
 
     def with_tolerance(self, tolerance: float) -> "Scenario":
         return dataclasses.replace(self, tolerance=tolerance, observables=self._registry)
+
+
+@dataclass(frozen=True, eq=False)
+class RunReport:
+    """Everything one scenario execution produced."""
+
+    scenario: Scenario
+    comparison: ComparisonReport
+    target_outcome_labels: tuple[str, ...]
+    probe_results: tuple[dict, ...] | None
+    duration_seconds: float
+
+    @property
+    def probe_consistent(self) -> bool:
+        if not self.probe_results:
+            return True
+        return all(r["consistent"] for r in self.probe_results)
+
+
+def run_scenario(scenario: Scenario, probe: bool = False) -> RunReport:
+    """Execute every route of the scenario and compare the final states."""
+    start = time.perf_counter()
+    if probe and not isinstance(scenario.initial_state, np.ndarray):
+        raise ValidationError(
+            ["initial_state: the probe cross-check needs a vector initial state"]
+        )
+    registry = scenario.observable_registry()
+    if probe:
+        # interact refuses the same register, but only once every route has run
+        for route in scenario.routes:
+            total = scenario.system_dim * prod(len(registry[s].groups) for s in route.steps)
+            if total > MAX_DIM:
+                raise CapacityError(
+                    f"route {route.display_name}: total dimension {total} exceeds the {MAX_DIM} limit"
+                )
+    initial = scenario.initial_density()
+    comparison = compare_routes(
+        initial, list(scenario.routes), registry, scenario.target, scenario.tolerance
+    )
+    probe_results = None
+    if probe:
+        probe_results = _probe_cross_check(scenario, registry, initial, comparison)
+    duration = time.perf_counter() - start
+    return RunReport(
+        scenario=scenario,
+        comparison=comparison,
+        target_outcome_labels=stage_labels_for(registry[scenario.target]),
+        probe_results=probe_results,
+        duration_seconds=duration,
+    )
+
+
+def _probe_cross_check(scenario, registry, initial, comparison) -> tuple[dict, ...]:
+    # The register model realizes the Lueders semantics, so each route is
+    # checked against its Lueders evaluation whatever rule the report uses;
+    # a Lueders route's final state from the comparison is that evaluation.
+    # run_scenario has already refused a density-matrix initial state.
+    results = []
+    for route, final in zip(scenario.routes, comparison.final_states):
+        total = init_total(scenario.initial_state)
+        for label in route.steps:
+            total = interact(total, registry[label])
+        reduced = reduced_system_state(total)
+        reference = final if route.rule is ProjectionRule.LUDERS else run_route(
+            initial, dataclasses.replace(route, rule=ProjectionRule.LUDERS), registry
+        )
+        deviation = float(np.max(np.abs(reduced.mat - reference.mat)))
+        results.append(
+            {
+                "route": route.display_name,
+                "max_abs_deviation": deviation,
+                "consistent": deviation <= UNIT_TOL,
+                "signals": probe_signal_distribution(total),
+            }
+        )
+    return tuple(results)
 
 
 def _build_qutrit() -> Scenario:

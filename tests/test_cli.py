@@ -425,6 +425,22 @@ class TestValidateAgreesWithRun:
         assert (code, out, err) == (2, "", f"{prefix}{line}\n")
 
     @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b"\xff\xfe{}", "byte 0: not UTF-8 (invalid start byte)"),
+            ('{"name": "é"}'.encode("latin-1"), "byte 10: not UTF-8 (invalid continuation byte)"),
+        ],
+        ids=["utf16-bom", "latin-1"],
+    )
+    def test_file_that_is_not_utf8(self, capsys, tmp_path, command, content, reason):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, command, str(path))
+        prefix = "error: " if command == "run" else "syntax error: "
+        assert (code, out, err) == (2, "", f"{prefix}{reason}\n")
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
     def test_integer_literal_past_the_digit_limit(self, capsys, tmp_path, command):
         text = serialize_scenario(builtin("qutrit-paper")).replace("1e-08", "1" * 5000)
         path = tmp_path / "scenario.json"
@@ -467,7 +483,7 @@ def _forbidden(*args, **kwargs):
 class TestProbeRefusal:
     def test_mixed_state_is_refused_before_any_work(self, capsys, tmp_path, monkeypatch):
         path = _scenario_file(tmp_path, _mixed_initial_state)
-        monkeypatch.setattr(cli, "_compare_routes", _forbidden)
+        monkeypatch.setattr(scenarios, "compare_routes", _forbidden)
         monkeypatch.setattr(Scenario, "observable_registry", _forbidden)
         code, out, err = run_cli(capsys, "run", path, "--probe")
         assert code == 2
@@ -478,7 +494,7 @@ class TestProbeRefusal:
         # nine two-outcome steps on a two-qubit system need a 2**9 * 4 = 2048 register
         path = _scenario_file(tmp_path, _deep_two_qubit_route)
         assert run_cli(capsys, "validate", path)[:2] == (0, "OK\n")
-        monkeypatch.setattr(cli, "_compare_routes", _forbidden)
+        monkeypatch.setattr(scenarios, "compare_routes", _forbidden)
         code, out, err = run_cli(capsys, "run", path, "--probe")
         assert code == 2
         assert out == ""
@@ -513,12 +529,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("exc", [ValueError("a plain ValueError"), ZeroDivisionError("a plain ZeroDivisionError")])
     def test_unforeseen_error_propagates(self, monkeypatch, exc):
-        monkeypatch.setattr(cli, "_compare_routes", _raise(exc))
+        monkeypatch.setattr(scenarios, "compare_routes", _raise(exc))
         with pytest.raises(type(exc), match=str(exc)):
             main(["run", "qutrit-paper"])
 
     def test_linalg_error_exits_3(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_compare_routes", _raise(np.linalg.LinAlgError("no convergence")))
+        monkeypatch.setattr(scenarios, "compare_routes", _raise(np.linalg.LinAlgError("no convergence")))
         code, out, err = run_cli(capsys, "run", "qutrit-paper")
         assert code == 3
         assert err == "numerical invariant violation: no convergence\n"
@@ -526,7 +542,7 @@ class TestExitCodes:
     def test_failed_probe_cross_check_exits_3_after_the_report(self, capsys, monkeypatch):
         # |0><0| differs from every route's final state, each with diagonal 1/3
         wrong = qroutes.DensityMatrix.pure([1, 0, 0])
-        monkeypatch.setattr(cli, "reduced_system_state", lambda total: wrong)
+        monkeypatch.setattr(scenarios, "reduced_system_state", lambda total: wrong)
         code, out, err = run_cli(capsys, "run", "qutrit-paper", "--probe", "--format", "json")
         assert code == 3
         assert err == "numerical invariant violation: probe cross-check failed\n"

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import hermitian_with_spectrum, random_density, random_state, random_unitary
-from qroutes import builtin, cli, product_observable, serialize_scenario, spectral_decompose
+from qroutes import builtin, product_observable, scenarios, serialize_scenario, spectral_decompose
 from qroutes.cli import main
 from qroutes.errors import InputError, NumericalError, QRoutesError
 from qroutes.linalg import MAX_DIM
@@ -62,7 +62,7 @@ def test_family_sets_exit_code_and_prefix(capsys, monkeypatch, cls):
     def broken(*args, **kwargs):
         raise cls("boom")
 
-    monkeypatch.setattr(cli, "_compare_routes", broken)
+    monkeypatch.setattr(scenarios, "compare_routes", broken)
     code, out, err = run_cli(capsys, "run", "qutrit-paper")
     if issubclass(cls, InputError):
         assert (code, err) == (2, "error: boom\n")

@@ -16,7 +16,7 @@ from helpers import (
     state_after_a,
     state_after_direct_c,
 )
-from qroutes import builtin, measurement
+from qroutes import builtin, measurement, run_scenario
 from qroutes import (
     AmbiguousGroupingError,
     DensityMatrix,
@@ -35,7 +35,6 @@ from qroutes import (
     spectral_decompose,
     von_neumann_update,
 )
-from qroutes.cli import run_scenario
 
 A = np.diag([1, 1, 0]).astype(complex)
 B = np.diag([0, 1, 1]).astype(complex)

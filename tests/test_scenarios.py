@@ -180,6 +180,16 @@ class TestScenarioMethods:
         s.observable_registry().clear()
         assert set(s.observable_registry()) == {"A", "B", "C"}
 
+    def test_observable_under_another_label_is_decomposed_under_it(self):
+        s = builtin("qutrit-paper")
+        r = s.observable_registry()
+        t = Scenario(s.name, 3, s.initial_state, dict(r, A=r["B"]), s.routes, s.target)
+        relabelled = t.observable_registry()["A"]
+        assert relabelled is not r["B"] and relabelled.label == "A"
+        assert np.array_equal(t.observables["A"], r["B"].matrix)
+        assert [g.eigenvalue for g in relabelled.groups] == [g.eigenvalue for g in r["B"].groups]
+        assert t.observable_registry()["B"] is r["B"]
+
 
 def test_known_fields_are_the_written_keys():
     doc = scenarios.scenario_document(builtin("qutrit-paper"))
