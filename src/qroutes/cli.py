@@ -8,6 +8,7 @@ so it can be diffed across runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -150,9 +151,9 @@ def cmd_run(args) -> int:
         if args.rule is not None:
             scenario = scenario.with_rule(ProjectionRule.from_name(args.rule))
         if args.state is not None:
-            scenario = scenario.with_state(_parse_state(args.state))
+            scenario = dataclasses.replace(scenario, initial_state=_parse_state(args.state))
         if args.tol is not None:
-            scenario = scenario.with_tolerance(args.tol)
+            scenario = dataclasses.replace(scenario, tolerance=args.tol)
         report = run_scenario(scenario, probe=args.probe)
         content = render_machine(report) if args.fmt == "json" else render_text(report)
         if args.out:

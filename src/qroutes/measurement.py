@@ -15,6 +15,7 @@ degenerate eigenspace.
 from __future__ import annotations
 
 import enum
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -48,7 +49,7 @@ class ProjectionRule(enum.Enum):
             if rule.value == name:
                 return rule
         allowed = ", ".join(r.value for r in cls)
-        raise ValueError(f"unknown projection rule {name!r} (expected one of: {allowed})")
+        raise ValueError(f"unknown projection rule {reprlib.repr(name)} (expected one of: {allowed})")
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -103,7 +104,7 @@ def product_observable(a: Observable, b: Observable) -> Observable:
 
 
 def run_route(
-    initial: DensityMatrix, route: Route, registry: dict[str, Observable]
+    initial: DensityMatrix, route: Route, registry: Mapping[str, Observable]
 ) -> DensityMatrix:
     """Fold the route's updates over the initial state, in step order."""
     state = initial
@@ -115,7 +116,7 @@ def run_route(
 
 
 def _check_route_targets(
-    routes: list[Route], registry: dict[str, Observable], target_obs: Observable
+    routes: list[Route], registry: Mapping[str, Observable], target_obs: Observable
 ) -> None:
     # A route plausibly measures the target if the target is its last step
     # or the matrix product of its steps, to within MATRIX_TOL scaled by
@@ -141,7 +142,7 @@ def _check_route_targets(
 def compare_routes(
     initial: DensityMatrix,
     routes: list[Route],
-    registry: dict[str, Observable],
+    registry: Mapping[str, Observable],
     target: str,
     tol: float = DISTANCE_TOL,
 ) -> ComparisonReport:

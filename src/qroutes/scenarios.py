@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import reprlib
 import time
 from dataclasses import dataclass
 from math import prod
@@ -37,21 +38,22 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 class Scenario:
     """An immutable, fully validated route-comparison problem.
 
-    Construction decomposes each observable once and keeps the result, so an
-    observable whose spectrum cannot be grouped is a violation like any other.
-    An ``Observable`` filed under its own label counts as decomposed already;
-    one filed under another label is decomposed again under that label.
+    ``observables`` maps each label to its ``Observable``, read-only.
+    Construction decomposes each matrix filed there once, so an observable
+    whose spectrum cannot be grouped is a violation like any other. An
+    ``Observable`` filed under its own label is kept as it is; one filed
+    under another label is decomposed again under that label. So
+    ``dataclasses.replace`` overrides any field without decomposing again.
     """
 
     name: str
     system_dim: int
     initial_state: np.ndarray | DensityMatrix
-    observables: Mapping[str, np.ndarray]
+    observables: Mapping[str, Observable]
     routes: tuple[Route, ...]
     target: str
     rule: ProjectionRule = ProjectionRule.LUDERS
     tolerance: float = DISTANCE_TOL
-    _registry: dict[str, Observable] = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         registry = dict(self.observables)
@@ -63,13 +65,15 @@ class Scenario:
         problems = self._violations(registry)
         if problems:
             raise ValidationError(problems)
-        object.__setattr__(self, "_registry", registry)
-        object.__setattr__(self, "observables", MappingProxyType({k: o.matrix for k, o in registry.items()}))
+        object.__setattr__(self, "observables", MappingProxyType(registry))
 
     def _violations(self, registry: dict) -> list[str]:  # decomposes its matrices in place
         out = []
         if self.system_dim < 1:
             out.append(f"system_dim: must be positive, got {self.system_dim}")
+            return out
+        if self.system_dim > MAX_DIM:
+            out.append(f"system_dim: {self.system_dim} exceeds the {MAX_DIM} limit")
             return out
         if isinstance(self.initial_state, DensityMatrix):
             if self.initial_state.dim != self.system_dim:
@@ -126,20 +130,9 @@ class Scenario:
             return self.initial_state
         return DensityMatrix.pure(self.initial_state)
 
-    def observable_registry(self) -> dict[str, Observable]:
-        """Label -> ``Observable`` as decomposed on construction, in a new dict."""
-        return dict(self._registry)
-
     def with_rule(self, rule: ProjectionRule) -> "Scenario":
         routes = tuple(dataclasses.replace(r, rule=rule) for r in self.routes)
-        return dataclasses.replace(self, rule=rule, routes=routes, observables=self._registry)
-
-    def with_state(self, vector) -> "Scenario":
-        vector = np.asarray(vector, dtype=complex).reshape(-1)
-        return dataclasses.replace(self, initial_state=vector, observables=self._registry)
-
-    def with_tolerance(self, tolerance: float) -> "Scenario":
-        return dataclasses.replace(self, tolerance=tolerance, observables=self._registry)
+        return dataclasses.replace(self, rule=rule, routes=routes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +159,7 @@ def run_scenario(scenario: Scenario, probe: bool = False) -> RunReport:
         raise ValidationError(
             ["initial_state: the probe cross-check needs a vector initial state"]
         )
-    registry = scenario.observable_registry()
+    registry = scenario.observables
     if probe:
         # interact refuses the same register, but only once every route has run
         for route in scenario.routes:
@@ -317,7 +310,7 @@ def builtin(name: str, *, state=None) -> Scenario:
         raise UnknownScenarioError(f"unknown scenario {name!r} (available: {known})")
     scenario = _BUILTINS[name][0]()
     if state is not None:
-        scenario = scenario.with_state(state)
+        scenario = dataclasses.replace(scenario, initial_state=state)
     return scenario
 
 
@@ -332,7 +325,7 @@ def _decode_complex(node, path: str, problems: list[str]) -> complex:
         except OverflowError:
             problems.append(f"{path}: number out of float range")
             return 0j
-    problems.append(f"{path}: expected a [re, im] number pair, got {node!r}")
+    problems.append(f"{path}: expected a [re, im] number pair, got {reprlib.repr(node)}")
     return 0j
 
 
@@ -443,12 +436,24 @@ _FIELDS = ("name", "system_dim", "initial_state", "observables", "routes", "targ
 _ROUTE_FIELDS = ("name", "steps", "rule")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ParseError(f"duplicate key {reprlib.repr(key)}")
+        doc[key] = value
+    return doc
+
+
 def parse_scenario(text: str) -> Scenario:
     """Build a Scenario from its file form, or fail with field context.
 
-    A key that ``scenario_document`` does not write is an unknown field."""
+    A key that ``scenario_document`` does not write is an unknown field;
+    a key written twice in one object is refused."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise ParseError("nesting too deep") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # an integer literal past the interpreter's digit limit
@@ -570,7 +575,7 @@ def scenario_document(s: Scenario) -> dict:
         "system_dim": s.system_dim,
         "initial_state": state_node,
         "observables": {
-            label: encode_complex_array(m) for label, m in s.observables.items()
+            label: encode_complex_array(o.matrix) for label, o in s.observables.items()
         },
         "routes": [
             {"name": r.name, "steps": list(r.steps), "rule": r.rule.value}

@@ -61,7 +61,7 @@ def criterion(number: int, title: str):
 
 def qutrit_parts(state):
     scen = builtin("qutrit-paper", state=state)
-    return scen.initial_density(), scen.routes, scen.observable_registry(), scen.target
+    return scen.initial_density(), scen.routes, scen.observables, scen.target
 
 
 def sample_amplitudes(rng, n=10):
@@ -114,7 +114,7 @@ def test_criterion_4_von_neumann_rule_erases_the_route_difference():
         rng = np.random.default_rng(2029)
         for amp in sample_amplitudes(rng):
             scen = builtin("qutrit-paper", state=amp).with_rule(ProjectionRule.VON_NEUMANN)
-            registry = scen.observable_registry()
+            registry = scen.observables
             for route in scen.routes:
                 out = run_route(scen.initial_density(), route, registry)
                 assert np.abs(out.mat - dephased(amp)).max() <= 1e-10
@@ -125,7 +125,7 @@ def test_criterion_5_nondegenerate_observables_do_not_discriminate():
         rng = np.random.default_rng(2030)
         scen = builtin("nondegenerate-counterexample")
         basis = np.column_stack(counterexample_basis())
-        registry = scen.observable_registry()
+        registry = scen.observables
         for _ in range(10):
             amps = random_state(rng, 3)
             rho = DensityMatrix.pure(basis @ amps)
@@ -188,7 +188,7 @@ def test_criterion_7_two_qubit_routes_stay_far_apart():
     with criterion(7, "two-qubit route distance is large and pinned"):
         scen = builtin("two-qubit-rafasala")
         report = compare_routes(
-            scen.initial_density(), scen.routes, scen.observable_registry(), scen.target
+            scen.initial_density(), scen.routes, scen.observables, scen.target
         )
         d = report.pairwise_trace_distance[0, 1]
         assert d > 0.1

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -10,7 +11,7 @@ import pytest
 
 import qroutes
 from helpers import degenerate_scenario
-from qroutes import Scenario, builtin, cli, scenarios, serialize_scenario
+from qroutes import builtin, cli, scenarios, serialize_scenario
 from qroutes.cli import main, render_machine, run_scenario
 from qroutes.scenarios import encode_complex_array
 
@@ -349,6 +350,7 @@ def _diag(*values):
 # One edit of qutrit-paper per violation, with the exact line that names it.
 VIOLATIONS = [
     ("system-dim-0", _put("system_dim", 0), "system_dim: must be positive, got 0"),
+    ("system-dim-over-cap", _put("system_dim", 1100), "system_dim: 1100 exceeds the 1024 limit"),
     (
         "density-matrix-dim",
         _put("initial_state", {"density_matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}),
@@ -450,6 +452,62 @@ class TestValidateAgreesWithRun:
         assert out == ""
 
 
+def _nested(depth):
+    """qutrit-paper with observable A a number nested ``depth`` arrays deep."""
+    doc = json.loads(serialize_scenario(builtin("qutrit-paper")))
+    doc["observables"]["A"] = "NESTED"  # json.dumps itself recurses once per level
+    return json.dumps(doc).replace('"NESTED"', "[" * depth + "0.0" + "]" * depth)
+
+
+_QUTRIT_TEXT = json.dumps(json.loads(serialize_scenario(builtin("qutrit-paper"))))
+_C_MATRIX = json.dumps(_diag(0.0, 1.0, 0.0))
+
+
+class TestRefusedStructure:
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100000 + "]" * 100000, _nested(100000)],
+        ids=["brackets-100000", "observable-100000"],
+    )
+    def test_nesting_too_deep(self, capsys, tmp_path, command, text):
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, command, str(path))
+        prefix = "error: " if command == "run" else "syntax error: "
+        assert (code, out, err) == (2, "", f"{prefix}nesting too deep\n")
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_nesting_near_the_recursion_limit(self, capsys, tmp_path, command):
+        # Whether json.loads or the decoder refuses 990 levels depends on the
+        # interpreter's recursion limits; either way it is one clipped line.
+        path = tmp_path / "scenario.json"
+        path.write_text(_nested(990))
+        code, out, err = run_cli(capsys, command, str(path))
+        prefix = "error: " if command == "run" else ""
+        pair = "observables.A[0][0]: expected a [re, im] number pair, got [[[[[[[...]]]]]]]"
+        assert (code, out) == (2, "")
+        assert err in (f"{prefix or 'syntax error: '}nesting too deep\n", f"{prefix}{pair}\n")
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ('"tolerance": 1e-08', '"tolerance": 1e-08, "tolerance": 0.1', "tolerance"),
+            ('"observables": {', f'"observables": {{"A": {_C_MATRIX}, ', "A"),
+            ('"steps": ["C"]', '"steps": ["C"], "steps": ["A", "B"]', "steps"),
+        ],
+        ids=["top-level", "observable-label", "route-key"],
+    )
+    def test_duplicate_key(self, capsys, tmp_path, command, old, new, key):
+        assert _QUTRIT_TEXT.count(old) == 1
+        path = tmp_path / "scenario.json"
+        path.write_text(_QUTRIT_TEXT.replace(old, new))
+        code, out, err = run_cli(capsys, command, str(path))
+        prefix = "error: " if command == "run" else "syntax error: "
+        assert (code, out, err) == (2, "", f"{prefix}duplicate key {key!r}\n")
+
+
 def _scenario_file(tmp_path, edit):
     doc = json.loads(serialize_scenario(builtin("qutrit-paper")))
     edit(doc)
@@ -484,7 +542,7 @@ class TestProbeRefusal:
     def test_mixed_state_is_refused_before_any_work(self, capsys, tmp_path, monkeypatch):
         path = _scenario_file(tmp_path, _mixed_initial_state)
         monkeypatch.setattr(scenarios, "compare_routes", _forbidden)
-        monkeypatch.setattr(Scenario, "observable_registry", _forbidden)
+        monkeypatch.setattr(scenarios, "init_total", _forbidden)
         code, out, err = run_cli(capsys, "run", path, "--probe")
         assert code == 2
         assert out == ""
@@ -593,9 +651,17 @@ class TestOneDecompositionPerObservable:
         assert run_cli(capsys, command, path, *options)[0] == 0
         assert sorted(calls) == ["A", "B", "C"]
 
+    def test_none_for_a_field_replace(self, calls):
+        scenario = builtin("qutrit-paper")
+        calls.clear()
+        dataclasses.replace(scenario, initial_state=[0, 1, 0])
+        assert calls == []
+        dataclasses.replace(scenario, tolerance=0.1)
+        assert calls == []
+
     def test_none_inside_run_scenario(self, calls):
         scenario = builtin("qutrit-paper", state=[1, 0, 0])
-        scenario = scenario.with_rule(qroutes.ProjectionRule.VON_NEUMANN).with_tolerance(0.1)
+        scenario = dataclasses.replace(scenario.with_rule(qroutes.ProjectionRule.VON_NEUMANN), tolerance=0.1)
         assert sorted(calls) == ["A", "B", "C"]
         calls.clear()
         run_scenario(scenario)

@@ -403,7 +403,7 @@ class TestRefinementOnDemand:
     def test_von_neumann_runs_build_one_per_group(self, calls, make, probe):
         scenario = make().with_rule(ProjectionRule.VON_NEUMANN)
         run_scenario(scenario, probe=probe)
-        registry = scenario.observable_registry()
+        registry = scenario.observables
         used = {step for route in scenario.routes for step in route.steps}
         assert all(len(registry[label].groups) > 1 for label in used)
         assert sorted(calls) == sorted(g.degeneracy for label in used for g in registry[label].groups)

@@ -80,7 +80,7 @@ class TestProductObservable:
 
     def test_counterexample_product_spectrum(self):
         scen = builtin("nondegenerate-counterexample")
-        reg = scen.observable_registry()
+        reg = scen.observables
         prod = product_observable(reg["D1"], reg["D2"])
         assert np.allclose(prod.matrix, reg["D3"].matrix, atol=1e-10)
         assert prod.eigenvalues == pytest.approx([3 + SQ3, 3 - SQ3, 0.0], abs=1e-9)
@@ -123,7 +123,7 @@ class TestCompareRoutes:
         amp = 1 / np.sqrt(2)
         scen = qutrit_scenario(state=np.array([amp, 0, amp], dtype=complex))
         report = compare_routes(
-            scen.initial_density(), scen.routes, scen.observable_registry(), scen.target
+            scen.initial_density(), scen.routes, scen.observables, scen.target
         )
         assert report.verdict(0, 1) is Verdict.DISTINCT
         assert report.verdict(0, 2) is Verdict.DISTINCT
@@ -137,7 +137,7 @@ class TestCompareRoutes:
             eta = random_state(rng, 3)
             scen = qutrit_scenario(state=eta)
             report = compare_routes(
-                scen.initial_density(), scen.routes, scen.observable_registry(), scen.target
+                scen.initial_density(), scen.routes, scen.observables, scen.target
             )
             expect = abs(eta[0]) * abs(eta[2])
             assert report.pairwise_trace_distance[0, 1] == pytest.approx(expect, abs=1e-10)
@@ -150,7 +150,7 @@ class TestCompareRoutes:
     def test_von_neumann_rule_collapses_all_routes(self):
         scen = qutrit_scenario(state=ETA).with_rule(ProjectionRule.VON_NEUMANN)
         report = compare_routes(
-            scen.initial_density(), scen.routes, scen.observable_registry(), scen.target
+            scen.initial_density(), scen.routes, scen.observables, scen.target
         )
         assert report.all_equal
         for state in report.final_states:
@@ -160,7 +160,7 @@ class TestCompareRoutes:
         rng = np.random.default_rng(92)
         scen = builtin("nondegenerate-counterexample", state=random_state(rng, 3))
         report = compare_routes(
-            scen.initial_density(), scen.routes, scen.observable_registry(), scen.target
+            scen.initial_density(), scen.routes, scen.observables, scen.target
         )
         assert report.all_equal
         assert report.pairwise_trace_distance.max() <= 1e-9
@@ -170,7 +170,7 @@ class TestCompareRoutes:
         # even when the final states can.
         scen = qutrit_scenario(state=ETA)
         report = compare_routes(
-            scen.initial_density(), scen.routes, scen.observable_registry(), scen.target
+            scen.initial_density(), scen.routes, scen.observables, scen.target
         )
         stats = report.final_observable_statistics
         assert len(stats) == 3
@@ -182,7 +182,7 @@ class TestCompareRoutes:
         eta = ETA
         scen = qutrit_scenario(state=eta)
         report = compare_routes(
-            scen.initial_density(), scen.routes, scen.observable_registry(), scen.target
+            scen.initial_density(), scen.routes, scen.observables, scen.target
         )
         diff = report.final_states[0].mat - report.final_states[1].mat
         expect = np.zeros((3, 3), dtype=complex)
@@ -193,7 +193,7 @@ class TestCompareRoutes:
     def test_report_matrix_shape_and_symmetry(self):
         scen = qutrit_scenario(state=ETA)
         report = compare_routes(
-            scen.initial_density(), scen.routes, scen.observable_registry(), scen.target
+            scen.initial_density(), scen.routes, scen.observables, scen.target
         )
         d = report.pairwise_trace_distance
         assert d.shape == (3, 3)
@@ -239,7 +239,7 @@ class TestCompareRoutes:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RouteTargetWarning)
             compare_routes(
-                scen.initial_density(), scen.routes, scen.observable_registry(), scen.target
+                scen.initial_density(), scen.routes, scen.observables, scen.target
             )
 
     def test_needs_at_least_two_routes(self):
@@ -272,7 +272,7 @@ class TestCounterexampleGeometry:
             report = compare_routes(
                 DensityMatrix.pure(vec),
                 scen.routes,
-                scen.observable_registry(),
+                scen.observables,
                 scen.target,
             )
             expect = sum(

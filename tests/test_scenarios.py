@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -50,11 +51,11 @@ class TestBuiltinCatalogue:
 class TestQutritBuiltin:
     def test_observable_matrices(self):
         s = builtin("qutrit-paper")
-        assert np.array_equal(s.observables["A"], np.diag([1, 1, 0]))
-        assert np.array_equal(s.observables["B"], np.diag([0, 1, 1]))
-        assert np.array_equal(s.observables["C"], np.diag([0, 1, 0]))
+        assert np.array_equal(s.observables["A"].matrix, np.diag([1, 1, 0]))
+        assert np.array_equal(s.observables["B"].matrix, np.diag([0, 1, 1]))
+        assert np.array_equal(s.observables["C"].matrix, np.diag([0, 1, 0]))
         assert np.array_equal(
-            s.observables["A"] @ s.observables["B"], s.observables["C"]
+            s.observables["A"].matrix @ s.observables["B"].matrix, s.observables["C"].matrix
         )
 
     def test_default_state_is_uniform(self):
@@ -69,9 +70,9 @@ class TestQutritBuiltin:
 
     def test_spectra(self):
         s = builtin("qutrit-paper")
-        assert np.allclose(spectrum(s.observables["A"]), [0, 1, 1], atol=1e-12)
-        assert np.allclose(spectrum(s.observables["B"]), [0, 1, 1], atol=1e-12)
-        assert np.allclose(spectrum(s.observables["C"]), [0, 0, 1], atol=1e-12)
+        assert np.allclose(spectrum(s.observables["A"].matrix), [0, 1, 1], atol=1e-12)
+        assert np.allclose(spectrum(s.observables["B"].matrix), [0, 1, 1], atol=1e-12)
+        assert np.allclose(spectrum(s.observables["C"].matrix), [0, 0, 1], atol=1e-12)
 
     def test_state_override(self):
         v = np.array([1, 0, 0], dtype=complex)
@@ -86,24 +87,24 @@ class TestQutritBuiltin:
 class TestCounterexampleBuiltin:
     def test_third_observable_is_the_product(self):
         s = builtin("nondegenerate-counterexample")
-        d1, d2, d3 = (s.observables[k] for k in ("D1", "D2", "D3"))
+        d1, d2, d3 = (s.observables[k].matrix for k in ("D1", "D2", "D3"))
         assert np.abs(d1 @ d2 - d3).max() <= 1e-10
 
     def test_pair_commutes(self):
         s = builtin("nondegenerate-counterexample")
-        d1, d2 = s.observables["D1"], s.observables["D2"]
+        d1, d2 = s.observables["D1"].matrix, s.observables["D2"].matrix
         assert np.abs(d1 @ d2 - d2 @ d1).max() <= 1e-10
 
     def test_spectra_are_nondegenerate(self):
         s = builtin("nondegenerate-counterexample")
         assert np.allclose(
-            spectrum(s.observables["D1"]), sorted([1 + SQ3, 0, 1 - SQ3]), atol=1e-9
+            spectrum(s.observables["D1"].matrix), sorted([1 + SQ3, 0, 1 - SQ3]), atol=1e-9
         )
         assert np.allclose(
-            spectrum(s.observables["D2"]), sorted([SQ3, 1, -SQ3]), atol=1e-9
+            spectrum(s.observables["D2"].matrix), sorted([SQ3, 1, -SQ3]), atol=1e-9
         )
         assert np.allclose(
-            spectrum(s.observables["D3"]), sorted([3 + SQ3, 3 - SQ3, 0]), atol=1e-9
+            spectrum(s.observables["D3"].matrix), sorted([3 + SQ3, 3 - SQ3, 0]), atol=1e-9
         )
 
     def test_default_state_is_normalized(self):
@@ -115,21 +116,21 @@ class TestTwoQubitBuiltin:
     def test_observables_are_pauli_products(self):
         s = builtin("two-qubit-rafasala")
         i2 = np.eye(2)
-        assert np.array_equal(s.observables["M1"], np.kron(SIGMA_X, i2))
-        assert np.array_equal(s.observables["M2"], np.kron(i2, SIGMA_Y))
-        assert np.array_equal(s.observables["M3"], np.kron(SIGMA_X, SIGMA_Y))
+        assert np.array_equal(s.observables["M1"].matrix, np.kron(SIGMA_X, i2))
+        assert np.array_equal(s.observables["M2"].matrix, np.kron(i2, SIGMA_Y))
+        assert np.array_equal(s.observables["M3"].matrix, np.kron(SIGMA_X, SIGMA_Y))
 
     def test_family_is_mutually_commuting(self):
         s = builtin("two-qubit-rafasala")
-        ms = list(s.observables.values())
+        ms = [o.matrix for o in s.observables.values()]
         for a in ms:
             for b in ms:
                 assert np.abs(a @ b - b @ a).max() <= 1e-12
 
     def test_spectra_are_doubly_degenerate(self):
         s = builtin("two-qubit-rafasala")
-        for m in s.observables.values():
-            assert np.allclose(spectrum(m), [-1, -1, 1, 1], atol=1e-12)
+        for o in s.observables.values():
+            assert np.allclose(spectrum(o.matrix), [-1, -1, 1, 1], atol=1e-12)
 
     def test_default_state_is_maximally_entangled(self):
         s = builtin("two-qubit-rafasala")
@@ -145,11 +146,11 @@ class TestScenarioMethods:
         assert all(r.rule is ProjectionRule.VON_NEUMANN for r in s.routes)
 
     def test_with_tolerance(self):
-        s = builtin("qutrit-paper").with_tolerance(1e-6)
+        s = dataclasses.replace(builtin("qutrit-paper"), tolerance=1e-6)
         assert s.tolerance == 1e-6
 
     def test_registry_carries_labels(self):
-        reg = builtin("qutrit-paper").observable_registry()
+        reg = builtin("qutrit-paper").observables
         assert set(reg) == {"A", "B", "C"}
         assert reg["A"].label == "A"
 
@@ -163,32 +164,51 @@ class TestScenarioMethods:
     def test_observables_are_read_only(self):
         s = builtin("qutrit-paper")
         with pytest.raises(ValueError):
-            s.observables["A"][0, 0] = 5.0
+            s.observables["A"].matrix[0, 0] = 5.0
         with pytest.raises(TypeError):
             s.observables["Z"] = np.eye(3)
 
     def test_overrides_hand_on_the_decomposed_observables(self):
         s = builtin("qutrit-paper")
-        registry = s.observable_registry()
-        assert all(s.observables[label] is obs.matrix for label, obs in registry.items())
-        for t in (s.with_rule(ProjectionRule.VON_NEUMANN), s.with_state([0, 1, 0]), s.with_tolerance(0.1)):
-            assert all(t.observable_registry()[label] is obs for label, obs in registry.items())
-            assert all(t.observables[label] is obs.matrix for label, obs in registry.items())
+        registry = s.observables
+        for t in (
+            s.with_rule(ProjectionRule.VON_NEUMANN),
+            dataclasses.replace(s, initial_state=[0, 1, 0]),
+            dataclasses.replace(s, tolerance=0.1),
+        ):
+            assert all(t.observables[label] is obs for label, obs in registry.items())
 
     def test_registry_is_a_new_dict(self):
-        s = builtin("qutrit-paper")
-        s.observable_registry().clear()
-        assert set(s.observable_registry()) == {"A", "B", "C"}
+        given = dict(builtin("qutrit-paper").observables)
+        s = Scenario("copy", 3, [1, 0, 0], given, builtin("qutrit-paper").routes, "C")
+        given.clear()
+        assert set(s.observables) == {"A", "B", "C"}
+        with pytest.raises(TypeError):
+            del s.observables["A"]
 
     def test_observable_under_another_label_is_decomposed_under_it(self):
         s = builtin("qutrit-paper")
-        r = s.observable_registry()
+        r = s.observables
         t = Scenario(s.name, 3, s.initial_state, dict(r, A=r["B"]), s.routes, s.target)
-        relabelled = t.observable_registry()["A"]
+        relabelled = t.observables["A"]
         assert relabelled is not r["B"] and relabelled.label == "A"
-        assert np.array_equal(t.observables["A"], r["B"].matrix)
+        assert np.array_equal(relabelled.matrix, r["B"].matrix)
         assert [g.eigenvalue for g in relabelled.groups] == [g.eigenvalue for g in r["B"].groups]
-        assert t.observable_registry()["B"] is r["B"]
+        assert t.observables["B"] is r["B"]
+
+    def test_dimension_past_the_cap_is_refused_before_any_decomposition(self, monkeypatch):
+        s = builtin("qutrit-paper")
+        monkeypatch.setattr(scenarios, "spectral_decompose", None)
+        matrices = {label: o.matrix for label, o in s.observables.items()}
+        with pytest.raises(ValidationError) as info:
+            Scenario(s.name, 1100, s.initial_state, matrices, s.routes, s.target)
+        assert info.value.violations == ["system_dim: 1100 exceeds the 1024 limit"]
+
+    def test_shape(self):
+        assert [f.name for f in dataclasses.fields(Scenario)] == [
+            "name", "system_dim", "initial_state", "observables", "routes", "target", "rule", "tolerance"
+        ]
+        assert not any(hasattr(Scenario, m) for m in ("observable_registry", "with_state", "with_tolerance"))
 
 
 def test_known_fields_are_the_written_keys():
@@ -213,7 +233,7 @@ class TestRoundTrip:
         assert np.array_equal(second.initial_state, first.initial_state)
         assert set(second.observables) == set(first.observables)
         for label in first.observables:
-            assert np.array_equal(second.observables[label], first.observables[label])
+            assert np.array_equal(second.observables[label].matrix, first.observables[label].matrix)
         assert tuple(r.steps for r in second.routes) == tuple(
             r.steps for r in first.routes
         )
@@ -242,7 +262,7 @@ class TestRoundTrip:
             back = parse_scenario(serialize_scenario(s))
             assert np.array_equal(back.initial_state, s.initial_state)
             for label in obs:
-                assert np.array_equal(back.observables[label], s.observables[label])
+                assert np.array_equal(back.observables[label].matrix, s.observables[label].matrix)
             assert back.tolerance == s.tolerance
             assert [r.rule for r in back.routes] == [r.rule for r in s.routes]
 
@@ -353,6 +373,24 @@ class TestParseErrors:
             with pytest.raises(ValidationError) as err:
                 parse_scenario(json.dumps(doc))
             assert message in err.value.violations
+
+    def test_bad_node_is_clipped_in_its_violation(self):
+        pair = "expected a [re, im] number pair, got"
+        doc = json.loads(serialize_scenario(builtin("qutrit-paper")))
+        doc["observables"]["A"][0][0] = [0.0] * 200000
+        doc["routes"][0]["rule"] = [0] * 200000
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(json.dumps(doc))
+        assert err.value.violations == [
+            f"observables.A[0][0]: {pair} [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, ...]",
+            "routes[0].rule: unknown projection rule [0, 0, 0, 0, 0, 0, ...] (expected one of: luders, von-neumann)",
+        ]
+        node = 0.0
+        for _ in range(990):
+            node = [node]
+        problems = []
+        _decode_matrix([[node]], "observables.A", problems)
+        assert problems == [f"observables.A[0][0]: {pair} [[[[[[[...]]]]]]]"]
 
     def test_nonhermitian_observable_names_the_label(self):
         doc = json.loads(serialize_scenario(builtin("qutrit-paper")))
