@@ -56,7 +56,8 @@ class ProjectionRule(enum.Enum):
 class EigenGroup:
     """One distinct eigenvalue with its eigenspace, spanned by the orthonormal
     rows of ``basis`` (a read-only (k, n) complex copy); ``projector`` and
-    ``refinement`` are computed from it on first use and then kept."""
+    ``refinement`` are computed from it on first use and then kept, read-only
+    like ``basis``, since every run that shares the group reads them."""
 
     eigenvalue: float
     basis: np.ndarray
@@ -75,12 +76,16 @@ class EigenGroup:
 
     @cached_property
     def projector(self) -> np.ndarray:
-        return self.basis.T @ self.basis.conj()
+        p = self.basis.T @ self.basis.conj()
+        p.setflags(write=False)
+        return p
 
     @cached_property
     def refinement(self) -> np.ndarray:
         """Orthonormal rows spanning the eigenspace, fixed by ``projector`` alone."""
-        return _eigenspace_basis(self.projector, self.degeneracy)
+        q = _eigenspace_basis(self.projector, self.degeneracy)
+        q.setflags(write=False)
+        return q
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,7 +277,8 @@ def selective_outcome(
     if not 0 <= group_index < len(obs.groups):
         raise IndexError(f"group index {group_index} out of range")
     p = obs.groups[group_index].projector
-    prob = min(max(float(np.trace(p @ rho.mat).real), 0.0), 1.0)
+    # tr(P rho) as an elementwise sum: O(n^2), where forming P rho costs O(n^3)
+    prob = min(max(float(np.sum(p * rho.mat.T).real), 0.0), 1.0)
     if not post_state:
         return prob, None
     if prob <= ZERO_TOL:

@@ -12,6 +12,7 @@ would, so floats round-trip exactly.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import reprlib
@@ -303,12 +304,24 @@ def builtin_descriptions() -> dict[str, str]:
     return {name: _BUILTINS[name][1] for name in sorted(_BUILTINS)}
 
 
+@functools.cache
+def _shared_builtin(name: str) -> Scenario:
+    return _BUILTINS[name][0]()
+
+
 def builtin(name: str, *, state=None) -> Scenario:
-    """A ready-made scenario; ``state`` optionally replaces the initial vector."""
+    """A ready-made scenario; ``state`` optionally replaces the initial vector.
+
+    Each built-in is built on its first call in a process; every later
+    ``builtin(name)`` returns that same read-only ``Scenario``, whose
+    observables keep the projectors and refinement bases runs derive. To
+    vary it, pass ``state``, or use ``with_rule`` or ``dataclasses.replace``,
+    none of which decomposes an observable again.
+    """
     if name not in _BUILTINS:
         known = ", ".join(sorted(_BUILTINS))
         raise UnknownScenarioError(f"unknown scenario {name!r} (available: {known})")
-    scenario = _BUILTINS[name][0]()
+    scenario = _shared_builtin(name)
     if state is not None:
         scenario = dataclasses.replace(scenario, initial_state=state)
     return scenario

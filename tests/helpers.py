@@ -8,6 +8,7 @@ oracles keep the earlier formulations of the register reduction (the
 dense outer product, traced out by ``partial_trace``) and of the register
 labels (mixed-radix digits of the flat index); ``loop_spectral_groups``
 keeps the earlier pair-by-pair grouping of an eigensystem.
+``clear_builtins`` makes the next ``builtin`` call build its scenario anew.
 """
 
 from __future__ import annotations
@@ -23,9 +24,16 @@ from qroutes import (
     Scenario,
     hermitian_eigendecomposition,
 )
+from qroutes import scenarios
 from qroutes.linalg import as_matrix
 
 _JACOBI_SWEEPS = 60
+
+
+def clear_builtins() -> None:
+    """Forget the built-in scenarios this process has built, so a test that
+    counts what building one does sees a first build."""
+    scenarios._shared_builtin.cache_clear()
 
 
 def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qroutes
-from helpers import degenerate_scenario
+from helpers import clear_builtins, degenerate_scenario
 from qroutes import builtin, cli, scenarios, serialize_scenario
 from qroutes.cli import main, render_machine, run_scenario
 from qroutes.scenarios import encode_complex_array
@@ -625,6 +625,7 @@ class TestOneDecompositionPerObservable:
 
     @pytest.fixture
     def calls(self, monkeypatch):
+        clear_builtins()
         made = []
         decompose = scenarios.spectral_decompose
 
@@ -723,6 +724,47 @@ class TestRepeatedMain:
         code, out, _ = run_cli(capsys, "run", "qutrit-paper", "--format", "json")
         assert code == 0
         assert out == _report()
+
+
+class TestSharedBuiltinsKeepNoState:
+    """Runs of a shared built-in leave nothing behind that a later run reads."""
+
+    def test_interleaved_runs_match_cold_runs(self, capsys, tmp_path):
+        names = list(qroutes.builtin_descriptions())
+
+        def runs(name, *rules):
+            return [["run", name, "--rule", rule, "--format", fmt] for rule in rules for fmt in ("text", "json")]
+
+        validates = []
+        for name in names:
+            path = tmp_path / f"{name}.json"
+            path.write_text(serialize_scenario(builtin(name)))
+            validates.append(["validate", str(path)])
+        probe = {name: ["run", name, "--probe", "--format", "json"] for name in names}
+        first = [
+            argv
+            for name in names
+            for argv in [*runs(name, "luders"), probe[name], *runs(name, "von-neumann")]
+        ] + validates
+        second = validates + [
+            argv
+            for name in reversed(names)
+            for argv in [*runs(name, "von-neumann"), probe[name], *runs(name, "luders")]
+        ]
+
+        def output(argv):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, "")
+            return [line for line in out.splitlines() if not line.startswith("completed in")]
+
+        cold = {}
+        for argv in first:
+            clear_builtins()
+            cold[tuple(argv)] = output(argv)
+        assert len(cold) == 18
+        clear_builtins()
+        for argv in first + second:
+            assert output(argv) == cold[tuple(argv)], argv
 
 
 def _readme_scenario() -> str:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    clear_builtins,
     degenerate_scenario,
     dephased,
     hermitian_with_spectrum,
@@ -385,10 +386,11 @@ class TestRefinementOnDemand:
             return build(projector, degeneracy)
 
         monkeypatch.setattr(measurement, "_eigenspace_basis", counted)
+        clear_builtins()
         return made
 
     # Built inside each case: a scenario keeps its observables, and with them
-    # every refinement a run has built.
+    # every refinement a run has built; the fixture drops the shared built-ins.
     SCENARIOS = [lambda: builtin("qutrit-paper"), lambda: degenerate_scenario(7)]
     IDS = ["qutrit-paper", "degenerate-24-seed7"]
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import random_density, random_hermitian, random_state
+from helpers import clear_builtins, random_density, random_hermitian, random_state
 from qroutes import (
     DensityMatrix,
+    EigenGroup,
     ParseError,
     ProjectionRule,
     Route,
@@ -19,9 +21,10 @@ from qroutes import (
     builtin,
     builtin_descriptions,
     parse_scenario,
+    run_scenario,
     serialize_scenario,
 )
-from qroutes import scenarios
+from qroutes import measurement, scenarios
 from qroutes.scenarios import _decode_matrix, encode_complex_array, write_json
 
 SQ3 = np.sqrt(3.0)
@@ -46,6 +49,58 @@ class TestBuiltinCatalogue:
     def test_unknown_name(self):
         with pytest.raises(UnknownScenarioError):
             builtin("qutrit")
+
+
+def _arrays(node):
+    """Every array reachable from ``node``, each group's derived arrays built."""
+    if isinstance(node, np.ndarray):
+        yield node
+    elif isinstance(node, EigenGroup):
+        yield from (node.basis, node.projector, node.refinement)
+    elif dataclasses.is_dataclass(node):
+        for field in dataclasses.fields(node):
+            yield from _arrays(getattr(node, field.name))
+    elif isinstance(node, Mapping):
+        for value in node.values():
+            yield from _arrays(value)
+    elif isinstance(node, (tuple, list)):
+        for item in node:
+            yield from _arrays(item)
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("a shared built-in was built again")
+
+
+class TestSharedBuiltins:
+    """Each built-in is built once per process and shared, read-only, from then on."""
+
+    @pytest.mark.parametrize("name", list(builtin_descriptions()))
+    def test_every_reachable_array_is_read_only(self, name):
+        s = builtin(name)
+        found = list(_arrays(s))
+        groups = [g for obs in s.observables.values() for g in obs.groups]
+        assert len(found) == 1 + len(s.observables) + 3 * len(groups)
+        assert not any(a.flags.writeable for a in found)
+        for g in groups:
+            with pytest.raises(ValueError):
+                g.projector[0, 0] = 0.0
+            with pytest.raises(ValueError):
+                g.refinement[0] *= -1.0
+
+    @pytest.mark.parametrize("name", list(builtin_descriptions()))
+    def test_later_calls_build_nothing(self, monkeypatch, name):
+        clear_builtins()
+        first = builtin(name)
+        list(_arrays(first))  # builds every projector and refinement
+        monkeypatch.setattr(scenarios, "spectral_decompose", _forbidden)
+        monkeypatch.setattr(measurement, "_eigenspace_basis", _forbidden)
+        assert builtin(name) is first
+        varied = builtin(name, state=np.eye(first.system_dim)[0])
+        assert varied is not first and varied.initial_state[0] == 1.0
+        assert all(varied.observables[label] is obs for label, obs in first.observables.items())
+        for rule in ProjectionRule:
+            run_scenario(varied.with_rule(rule), probe=True)
 
 
 class TestQutritBuiltin:
