@@ -31,8 +31,9 @@ class HermiticityError(NumericalError):
 
 class InvariantError(NumericalError, ValueError):
     """A ``DensityMatrix`` or ``Observable`` invariant does not hold: a
-    state's trace or positivity, or an eigenvalue grouping's order, sizes,
-    projectors, orthonormality, completeness or reconstruction."""
+    state's trace or positivity, or an eigenvalue grouping's finite
+    eigenvalues, order, sizes, projectors, orthonormality, completeness or
+    reconstruction."""
 
 
 class AmbiguousGroupingError(NumericalError):

@@ -30,7 +30,7 @@ MAX_DIM = 1024
 # Tolerance policy: the only threshold literals in the package.
 # Scaled by the input through ``scaled_tol``:
 MATRIX_TOL = 1e-10  # hermiticity, commutation, reconstruction, route products
-GROUP_TOL = 1e-8  # eigenvalues this close share a group (default ``group_tol``)
+GROUP_TOL = 1e-8  # eigenvalues this close share a group
 LABEL_TOL = 1e-9  # an eigenvalue this close to a short decimal is labelled by it
 # Absolute, for unit-scale objects:
 UNIT_TOL = 1e-10  # density matrices, state norms, eigenbases, probe deviation
@@ -69,16 +69,19 @@ def as_matrix(m) -> np.ndarray:
 
 
 # The two helpers below take a matrix ``as_matrix`` has already coerced, so
-# a validating caller coerces its input once.
+# a validating caller coerces its input once. Both halve before they add,
+# so no numpy sum overflows; halving is exact for normal floats, so the
+# bits are those of the unhalved formula unless a half falls below the
+# normal range.
 def _defect(m: np.ndarray) -> float:
-    return float(abs(m - m.conj().T).max(initial=0.0))
+    return 2 * float(abs(m / 2 - m.conj().T / 2).max(initial=0.0))  # inf past the float range
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2
+    return m / 2 + m.conj().T / 2
 
 
-def hermitian_eigendecomposition(m, tol: float = MATRIX_TOL) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigendecomposition(m) -> tuple[np.ndarray, np.ndarray]:
     """Full eigensystem of a Hermitian matrix, computed by LAPACK (``eigh``).
 
     Returns ``(values, vectors)`` arrays as ``eigh`` does, column
@@ -87,11 +90,12 @@ def hermitian_eigendecomposition(m, tol: float = MATRIX_TOL) -> tuple[np.ndarray
     component, whose phase is fixed to make it real and positive.
 
     Raises HermiticityError when ``max |m - m†|`` exceeds
-    ``scaled_tol(tol, m)``, that is ``tol`` times ``max(1, max |m_ij|)``.
+    ``scaled_tol(MATRIX_TOL, m)``, that is ``MATRIX_TOL`` times
+    ``max(1, max |m_ij|)``.
     """
     m = as_matrix(m)
     defect = _defect(m)
-    limit = scaled_tol(tol, m)
+    limit = scaled_tol(MATRIX_TOL, m)
     if defect > limit:
         raise HermiticityError(f"max |m - m†| = {defect:.3e} exceeds tolerance {limit:.3e}")
     vals, vecs = np.linalg.eigh(_hermitian_part(m))
@@ -141,8 +145,17 @@ class DensityMatrix:
 
     @classmethod
     def pure(cls, vector) -> "DensityMatrix":
-        """Projector onto a normalized state vector."""
+        """Projector onto a state vector of unit norm: the one check of a pure state.
+
+        Raises InvariantError when ``|norm(v) - 1|``, computed without
+        overflow, exceeds ``UNIT_TOL``; then construction checks the
+        projector, so its trace ``norm(v)²`` is held to ``UNIT_TOL`` too.
+        """
         v = np.asarray(vector, dtype=complex).reshape(-1)
+        unit, scale = unit_scaled(v)  # a norm past the float range stays finite
+        dev = abs(float(np.linalg.norm(unit)) * scale - 1.0)
+        if dev > UNIT_TOL:
+            raise InvariantError(f"norm deviates from 1 by {dev:.3e}")
         return cls(np.outer(v, v.conj()))
 
 

@@ -54,7 +54,7 @@ class ProjectionRule(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class EigenGroup:
-    """One distinct eigenvalue with its eigenspace, spanned by the orthonormal
+    """One distinct, finite eigenvalue with its eigenspace, spanned by the orthonormal
     rows of ``basis`` (a read-only (k, n) complex copy); ``projector`` and
     ``refinement`` are computed from it on first use and then kept, read-only
     like ``basis``, since every run that shares the group reads them."""
@@ -63,6 +63,8 @@ class EigenGroup:
     basis: np.ndarray
 
     def __post_init__(self):
+        if not np.isfinite(self.eigenvalue):
+            raise InvariantError(f"eigenvalue {self.eigenvalue} is outside the float range")
         # C order whatever the input's layout, so the projector's bits do not depend on it
         b = np.array(self.basis, dtype=complex, order="C")
         if b.ndim != 2 or not np.isfinite(b).all():
@@ -148,24 +150,35 @@ class Observable:
         return tuple(g.eigenvalue for g in self.groups)
 
 
-def spectral_decompose(m, group_tol: float = GROUP_TOL, *, label: str = "") -> Observable:
+def spectral_decompose(m, *, label: str = "") -> Observable:
     """Group the eigensystem of a Hermitian matrix into distinct eigenvalues.
 
-    The grouping band scales with the spectrum: ``band = group_tol ·
+    The grouping band scales with the spectrum: ``band = GROUP_TOL ·
     max(1, max |λ|)``, so rescaling ``m`` rescales the band with it.
-    Eigenvalues closer than ``band`` fall into one degenerate group.
-    Spacings inside the open band (band, 10·band) are refused with
-    AmbiguousGroupingError: they are too wide to merge and too narrow to
-    split with confidence. So is a group whose gaps are each at most
-    ``band`` but whose spread (largest minus smallest eigenvalue) exceeds
-    it: a chain of near-equal eigenvalues. The hermiticity check is
+    Eigenvalues closer than ``band`` are merged into one group, which the
+    ``Observable`` then holds to reconstructing ``m`` within
+    ``scaled_tol(MATRIX_TOL, m)``. Spacings inside the open band (band,
+    10·band) are refused with AmbiguousGroupingError: they are too wide to
+    merge and too narrow to split with confidence. So is a group whose gaps
+    are each at most ``band`` but whose spread (largest minus smallest
+    eigenvalue) exceeds it: a chain of near-equal eigenvalues. At unit
+    scale ``diag(1, 1 + g, 0)`` so has four outcomes, measured at the gaps
+    listed (the boundaries between them are not resolved):
+
+    * g <= 1.5e-10: 1 and 1 + g merge into one group;
+    * 2e-10 <= g <= 1e-8: InvariantError, the groups do not reconstruct;
+    * 1.01e-8 <= g <= 1e-7: AmbiguousGroupingError;
+    * g >= 1.5e-7: 1 and 1 + g split into two groups.
+
+    A group whose eigenvalues sum past the float range raises
+    InvariantError. The hermiticity check is
     ``hermitian_eigendecomposition``'s, scaled by the entries of ``m``.
     """
     m = as_matrix(m)
     vals, vecs = hermitian_eigendecomposition(m)
     if not vals.size:
         raise DimensionError("cannot decompose an empty matrix")
-    band = scaled_tol(group_tol, vals)
+    band = scaled_tol(GROUP_TOL, vals)
     gaps = vals[:-1] - vals[1:]
     split = gaps > band
     ambiguous = split & (gaps < 10.0 * band)
@@ -181,10 +194,10 @@ def spectral_decompose(m, group_tol: float = GROUP_TOL, *, label: str = "") -> O
             f"eigenvalues merged into one group spread over {spread:.3e}, "
             f"more than the grouping tolerance {band:.3e}"
         )
-    groups = tuple(
-        EigenGroup(float(vals[a:b].sum() / (b - a)), vecs[:, a:b].T)  # np.mean, bit for bit
-        for a, b in zip(bounds, bounds[1:])
-    )
+    spans = list(zip(bounds, bounds[1:]))
+    with np.errstate(over="ignore"):  # EigenGroup refuses a sum past the float range
+        means = [float(vals[a:b].sum() / (b - a)) for a, b in spans]  # np.mean, bit for bit
+    groups = tuple(EigenGroup(mean, vecs[:, a:b].T) for mean, (a, b) in zip(means, spans))
     return Observable(matrix=m, groups=groups, label=label)
 
 

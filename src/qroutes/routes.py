@@ -81,16 +81,16 @@ class ComparisonReport:
         return all(v is Verdict.EQUAL for row in self.verdicts for v in row)
 
 
-def commutes(a: Observable, b: Observable, tol: float = MATRIX_TOL) -> bool:
-    """True iff max |AB - BA| is at most tol scaled by both factors.
+def commutes(a: Observable, b: Observable) -> bool:
+    """True iff max |AB - BA| is at most MATRIX_TOL scaled by both factors.
 
-    The threshold is ``tol · max(1, max |A_ij|) · max(1, max |B_ij|)``, so
-    rescaling either observable does not change the answer.
+    The threshold is ``MATRIX_TOL · max(1, max |A_ij|) · max(1, max |B_ij|)``,
+    so rescaling either observable does not change the answer.
     """
     if a.dim != b.dim:
         raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
     gap = np.max(np.abs(a.matrix @ b.matrix - b.matrix @ a.matrix))
-    return bool(gap <= scaled_tol(scaled_tol(tol, a.matrix), b.matrix))
+    return bool(gap <= scaled_tol(scaled_tol(MATRIX_TOL, a.matrix), b.matrix))
 
 
 def product_observable(a: Observable, b: Observable) -> Observable:

@@ -17,7 +17,7 @@ import itertools
 import json
 import reprlib
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 from types import MappingProxyType
 from typing import Mapping
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import CapacityError, DimensionError, HermiticityError, InvariantError, NumericalError
 from .errors import ParseError, UnknownScenarioError, ValidationError
-from .linalg import DISTANCE_TOL, MAX_DIM, UNIT_TOL, DensityMatrix, unit_scaled
+from .linalg import DISTANCE_TOL, MAX_DIM, UNIT_TOL, DensityMatrix
 from .measurement import Observable, ProjectionRule, spectral_decompose
 from .probe import init_total, interact, probe_signal_distribution, reduced_system_state, stage_labels_for
 from .routes import ComparisonReport, Route, compare_routes, run_route
@@ -45,6 +45,8 @@ class Scenario:
     ``Observable`` filed under its own label is kept as it is; one filed
     under another label is decomposed again under that label. So
     ``dataclasses.replace`` overrides any field without decomposing again.
+    A vector ``initial_state`` is checked once, by ``DensityMatrix.pure``,
+    and ``initial_density()`` returns that checked state to every run.
     """
 
     name: str
@@ -55,6 +57,7 @@ class Scenario:
     target: str
     rule: ProjectionRule = ProjectionRule.LUDERS
     tolerance: float = DISTANCE_TOL
+    _initial_density: DensityMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
         registry = dict(self.observables)
@@ -68,15 +71,17 @@ class Scenario:
             raise ValidationError(problems)
         object.__setattr__(self, "observables", MappingProxyType(registry))
 
-    def _violations(self, registry: dict) -> list[str]:  # decomposes its matrices in place
+    def _violations(self, registry: dict) -> list[str]:
+        # Decomposes the registry's matrices in place and keeps the initial density.
         out = []
         if self.system_dim < 1:
-            out.append(f"system_dim: must be positive, got {self.system_dim}")
+            out.append(f"system_dim: must be positive, got {reprlib.repr(self.system_dim)}")
             return out
         if self.system_dim > MAX_DIM:
-            out.append(f"system_dim: {self.system_dim} exceeds the {MAX_DIM} limit")
+            out.append(f"system_dim: {reprlib.repr(self.system_dim)} exceeds the {MAX_DIM} limit")
             return out
         if isinstance(self.initial_state, DensityMatrix):
+            object.__setattr__(self, "_initial_density", self.initial_state)
             if self.initial_state.dim != self.system_dim:
                 out.append(
                     f"initial_state: dimension {self.initial_state.dim} "
@@ -91,10 +96,10 @@ class Scenario:
             elif not np.all(np.isfinite(v)):
                 out.append("initial_state.vector: non-finite amplitude")
             else:
-                unit, scale = unit_scaled(v)  # a norm past the float range stays finite
-                dev = abs(float(np.linalg.norm(unit)) * scale - 1.0)
-                if dev > UNIT_TOL:
-                    out.append(f"initial_state.vector: norm deviates from 1 by {dev:.3e}")
+                try:
+                    object.__setattr__(self, "_initial_density", DensityMatrix.pure(v))
+                except NumericalError as exc:
+                    out.append(f"initial_state.vector: {exc}")
         for label, m in registry.items():
             kept = isinstance(m, Observable) and m.label == label  # decomposed already
             a = m.matrix if isinstance(m, Observable) else np.asarray(m, dtype=complex)
@@ -127,9 +132,8 @@ class Scenario:
         return out
 
     def initial_density(self) -> DensityMatrix:
-        if isinstance(self.initial_state, DensityMatrix):
-            return self.initial_state
-        return DensityMatrix.pure(self.initial_state)
+        """The initial state as construction checked it; the same object on every call."""
+        return self._initial_density
 
     def with_rule(self, rule: ProjectionRule) -> "Scenario":
         routes = tuple(dataclasses.replace(r, rule=rule) for r in self.routes)

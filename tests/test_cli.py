@@ -11,7 +11,7 @@ import pytest
 
 import qroutes
 from helpers import clear_builtins, degenerate_scenario
-from qroutes import builtin, cli, scenarios, serialize_scenario
+from qroutes import RouteTargetWarning, builtin, cli, scenarios, serialize_scenario
 from qroutes.cli import main, render_machine, run_scenario
 from qroutes.scenarios import encode_complex_array
 
@@ -343,8 +343,12 @@ def _put(*path):
 _QUBIT_ID = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 
 
+def _encoded(a):
+    return encode_complex_array(np.array(a, dtype=complex)).tolist()
+
+
 def _diag(*values):
-    return encode_complex_array(np.diag(values).astype(complex)).tolist()
+    return _encoded(np.diag(values))
 
 
 # One edit of qutrit-paper per violation, with the exact line that names it.
@@ -387,6 +391,37 @@ VIOLATIONS = [
         _put("observables", "A", _diag(0.0, 1e-9, 2e-9)),
         "observables.A: groups do not reconstruct the observable matrix; the eigenvalue grouping may be too coarse",
     ),
+    (
+        "system-dim-4001-digits",
+        _put("system_dim", 10**4000),
+        "system_dim: 100000000000000000...0000000000000000000 exceeds the 1024 limit",
+    ),
+    (
+        # |v| - 1 = 7e-11 is within UNIT_TOL, but |v|^2 - 1, the trace, is not
+        "norm-squared-off-by-1.4e-10",
+        _put("initial_state", "vector", _encoded(np.full(3, (1 + 7e-11) / np.sqrt(3)))),
+        "initial_state.vector: density matrix trace deviates from 1 by 1.400e-10",
+    ),
+    (
+        "density-matrix-1e308-coherence",
+        _put("initial_state", {"density_matrix": _encoded([[1, 1e308, 0], [1e308, 0, 0], [0, 0, 0]])}),
+        "initial_state.density_matrix: density matrix has negative eigenvalue -1.000e+308",
+    ),
+    (
+        "eigenvalue-sum-past-float-range",
+        _put("observables", "A", _diag(1.7e308, 1.7e308, 0.0)),
+        "observables.A: eigenvalue inf is outside the float range",
+    ),
+    (
+        "defect-past-float-range",
+        _put("observables", "A", _encoded([[0, 1e308, 0], [-1e308, 0, 0], [0, 0, 0]])),
+        "observables.A: not Hermitian (max |m - m†| = inf exceeds tolerance 1.000e+298)",
+    ),
+    (
+        "eigenvalue-past-float-range",
+        _put("observables", "A", _encoded(np.full((3, 3), 1.5e308))),
+        "observables.A: eigenvalue inf is outside the float range",
+    ),
 ]
 
 
@@ -415,6 +450,7 @@ class TestValidateAgreesWithRun:
         code, out, err = run_cli(capsys, "run", "qutrit-paper", "--tol", "inf", "--format", "json")
         assert (code, out, err) == (2, "", "error: tolerance: must be finite, got inf\n")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # the line is all a user sees
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("edit, line", [v[1:] for v in VIOLATIONS], ids=[v[0] for v in VIOLATIONS])
     def test_each_violation_is_named_by_both_commands(self, capsys, tmp_path, command, edit, line):
@@ -425,6 +461,18 @@ class TestValidateAgreesWithRun:
         code, out, err = run_cli(capsys, command, str(path))
         prefix = "error: " if command == "run" else ""
         assert (code, out, err) == (2, "", f"{prefix}{line}\n")
+
+    def test_observable_near_the_float_limit_runs_to_strict_json(self, capsys, tmp_path):
+        doc = json.loads(serialize_scenario(builtin("qutrit-paper")))
+        doc["observables"]["A"] = _encoded([[0, 1e308, 0], [1e308, 0, 0], [0, 0, 0]])
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(capsys, "validate", str(path)) == (0, "OK\n", "")
+        with pytest.warns(RouteTargetWarning):  # A·B is not C any more
+            code, out, err = run_cli(capsys, "run", str(path), "--format", "json")
+        assert (code, err) == (0, "")
+        report = json.loads(out, parse_constant=_refuse_non_finite)
+        assert report["scenario"]["observables"]["A"][1][0] == [1e308, 0.0]
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize(
@@ -450,6 +498,10 @@ class TestValidateAgreesWithRun:
         code, out, err = run_cli(capsys, command, str(path))
         assert code == 2
         assert out == ""
+
+
+def _refuse_non_finite(constant):
+    raise ValueError(f"{constant} in a report that must be strict JSON")
 
 
 def _nested(depth):

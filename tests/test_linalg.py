@@ -159,6 +159,11 @@ class TestEigendecomposition:
         assert vals[0] == pytest.approx(4.0)
         assert vecs[0, 0] == pytest.approx(1.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_entries_near_the_float_limit(self):
+        vals, _ = hermitian_eigendecomposition([[0, 1e308], [1e308, 0]])
+        assert vals.tolist() == [1e308, -1e308]
+
 
 class TestDensityMatrix:
     def test_accepts_valid_mixed_state(self):
@@ -174,6 +179,34 @@ class TestDensityMatrix:
     def test_pure_rejects_unnormalized_vector(self):
         with pytest.raises(ValueError):
             DensityMatrix.pure(np.array([1.0, 1.0], dtype=complex))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "vector, message",
+        [
+            ([1.0, 1.0], "norm deviates from 1 by 4.142e-01"),
+            ([1e200, 1e200], "norm deviates from 1 by 1.414e+200"),
+            # |v| - 1 = 7e-11 passes the norm check; the trace |v|^2 then fails
+            (np.full(3, (1 + 7e-11) / SQ3), "density matrix trace deviates from 1 by 1.400e-10"),
+        ],
+        ids=["norm", "norm-past-the-float-range", "trace"],
+    )
+    def test_pure_checks_the_norm_then_the_trace(self, vector, message):
+        with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
+            DensityMatrix.pure(vector)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "coherence, error, message",
+        [
+            (1e308, InvariantError, "density matrix has negative eigenvalue -1.000e+308"),
+            (-1e308, HermiticityError, "density matrix not Hermitian: max |m - m†| = inf"),
+        ],
+        ids=["hermitian", "anti-hermitian"],
+    )
+    def test_coherence_near_the_float_limit_is_refused(self, coherence, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            DensityMatrix([[1, 1e308], [coherence, 0]])
 
     def test_rejects_nonhermitian(self):
         with pytest.raises(HermiticityError):

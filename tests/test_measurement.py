@@ -106,11 +106,6 @@ class TestSpectralDecompose:
         obs = spectral_decompose(np.diag([0.0, 2e-7]).astype(complex))
         assert len(obs.groups) == 2
 
-    def test_custom_tolerance_shifts_band(self):
-        m = np.diag([0.0, 1.5e-10]).astype(complex)
-        assert len(spectral_decompose(m, group_tol=1e-9).groups) == 1
-        assert len(spectral_decompose(m, group_tol=1e-11).groups) == 2
-
     def test_matches_loop_oracle_bit_for_bit(self):
         # Seeded spectra with clusters of 1 to 12 equal eigenvalues (the
         # mean of 8 or more sums pairwise), merge-level jitter, and
@@ -185,6 +180,19 @@ class TestEigenGroup:
     def test_refuses_a_basis_that_is_not_finite_rows(self, basis):
         with pytest.raises(DimensionError, match="^eigenspace basis must be a finite 2-D array of rows"):
             EigenGroup(1.0, basis)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_refuses_an_eigenvalue_outside_the_float_range(self, value):
+        with pytest.raises(InvariantError, match=f"^eigenvalue {value} is outside the float range$"):
+            EigenGroup(value, np.eye(3)[:1])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "m", [np.diag([1.7e308, 1.7e308, 0.0]), np.full((3, 3), 1.5e308)], ids=["sum", "spectrum"]
+    )
+    def test_spectral_decompose_refuses_a_group_past_the_float_range(self, m):
+        with pytest.raises(InvariantError, match="^eigenvalue inf is outside the float range$"):
+            spectral_decompose(m)
 
     def test_projector_and_refinement_come_from_the_basis(self):
         s = np.sqrt(0.5)
@@ -361,13 +369,13 @@ class TestVonNeumannUpdate:
         rho = random_density(rng, 9)
         reference = von_neumann_update(rho, spectral_decompose(m))
 
-        def rotated_eigh(mat, tol=1e-10):
-            vals, vecs = hermitian_eigendecomposition(mat, tol)
+        def rotated_eigh(mat):
+            vals, vecs = hermitian_eigendecomposition(mat)
             for start in (0, 3, 6):
                 vecs[:, start:start + 3] = vecs[:, start:start + 3] @ random_unitary(rng, 3)
             return vals, vecs
 
-        for solver in (rotated_eigh, lambda mat, tol=1e-10: jacobi_eigensystem(mat)):
+        for solver in (rotated_eigh, jacobi_eigensystem):
             monkeypatch.setattr(measurement, "hermitian_eigendecomposition", solver)
             out = von_neumann_update(rho, spectral_decompose(m))
             assert np.abs(out.mat - reference.mat).max() <= 1e-12

@@ -80,7 +80,8 @@ class TestSharedBuiltins:
         s = builtin(name)
         found = list(_arrays(s))
         groups = [g for obs in s.observables.values() for g in obs.groups]
-        assert len(found) == 1 + len(s.observables) + 3 * len(groups)
+        # the vector and its checked density matrix, each matrix, each group's three arrays
+        assert len(found) == 2 + len(s.observables) + 3 * len(groups)
         assert not any(a.flags.writeable for a in found)
         for g in groups:
             with pytest.raises(ValueError):
@@ -216,6 +217,23 @@ class TestScenarioMethods:
             rho.mat, np.outer(s.initial_state, s.initial_state.conj()), atol=1e-15
         )
 
+    def test_runs_start_from_the_checked_state(self, monkeypatch):
+        s = builtin("qutrit-paper")
+        assert s.initial_density() is s.initial_density()
+        varied = builtin("qutrit-paper", state=np.eye(3)[0])
+        assert np.array_equal(varied.initial_density().mat, np.diag([1.0, 0.0, 0.0]))
+        built = []
+        check = DensityMatrix.__post_init__
+
+        def counted(rho):
+            built.append(rho)
+            check(rho)
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
+        run_scenario(s)
+        # one state per update step; none for the initial state
+        assert len(built) == sum(len(route.steps) for route in s.routes)
+
     def test_observables_are_read_only(self):
         s = builtin("qutrit-paper")
         with pytest.raises(ValueError):
@@ -260,9 +278,10 @@ class TestScenarioMethods:
         assert info.value.violations == ["system_dim: 1100 exceeds the 1024 limit"]
 
     def test_shape(self):
-        assert [f.name for f in dataclasses.fields(Scenario)] == [
+        assert [f.name for f in dataclasses.fields(Scenario) if f.init] == [
             "name", "system_dim", "initial_state", "observables", "routes", "target", "rule", "tolerance"
         ]
+        assert [f.name for f in dataclasses.fields(Scenario) if not f.init] == ["_initial_density"]
         assert not any(hasattr(Scenario, m) for m in ("observable_registry", "with_state", "with_tolerance"))
 
 

@@ -1,7 +1,10 @@
-"""The tolerance policy: every threshold is named in ``linalg`` and scales with the input."""
+"""The tolerance policy: every threshold is named in ``linalg`` and scales with
+the input, and no public callable takes one as a parameter."""
 
 import ast
+import inspect
 import re
+import types
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +64,60 @@ def test_no_threshold_literal_outside_the_policy_block():
         "name every closeness threshold in linalg's tolerance policy block: "
         f"{sorted(found - set(ALLOWED))}; stale allow-list entries: {sorted(set(ALLOWED) - found)}"
     )
+
+
+# The user's EQUAL threshold on trace distance (``--tol``, a scenario's
+# ``tolerance``) is the one tolerance a caller sets; these carry it.
+USER_THRESHOLD = {
+    ("ComparisonReport", "tolerance"),
+    ("Scenario", "tolerance"),
+    ("compare_routes", "tol"),
+}
+
+
+def _tolerance_parameters(namespace) -> set[tuple[str, str]]:
+    """(callable, parameter) of each parameter named like a tolerance ("tol"
+    anywhere in its name) of a callable in ``namespace.__all__``, the public
+    methods of a class included."""
+    found = set()
+    for name in namespace.__all__:
+        obj = getattr(namespace, name)
+        members = [(name, obj)]
+        if isinstance(obj, type):
+            members += [
+                (f"{name}.{attr}", getattr(obj, attr))
+                for attr in vars(obj)
+                if not attr.startswith("_") and callable(getattr(obj, attr))
+            ]
+        for label, member in members:
+            try:
+                parameters = inspect.signature(member).parameters
+            except (TypeError, ValueError):  # a builtin without a signature
+                continue
+            found |= {(label, p) for p in parameters if "tol" in p.lower()}
+    return found
+
+
+def test_no_public_callable_takes_a_tolerance_knob():
+    found = _tolerance_parameters(qroutes)
+    assert found == USER_THRESHOLD, (
+        "thresholds come from linalg's tolerance policy, not from a parameter: "
+        f"{sorted(found - USER_THRESHOLD)}; stale entries: {sorted(USER_THRESHOLD - found)}"
+    )
+
+
+def test_scan_sees_a_tolerance_knob():
+    def commutes(a, b, tol=MATRIX_TOL):
+        return True
+
+    class Observable:
+        def close_to(self, other, *, atol=0.0):
+            return True
+
+    namespace = types.SimpleNamespace(
+        __all__=["commutes", "Observable"], commutes=commutes, Observable=Observable
+    )
+    assert _tolerance_parameters(namespace) == {("commutes", "tol"), ("Observable.close_to", "atol")}
 
 
 def test_scan_sees_a_literal_at_a_call_site(tmp_path):
