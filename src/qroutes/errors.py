@@ -32,8 +32,7 @@ class HermiticityError(NumericalError):
 class InvariantError(NumericalError, ValueError):
     """A ``DensityMatrix`` or ``Observable`` invariant does not hold: a
     state's trace or positivity, or an eigenvalue grouping's finite
-    eigenvalues, order, sizes, projectors, orthonormality, completeness or
-    reconstruction."""
+    eigenvalues or reconstruction."""
 
 
 class AmbiguousGroupingError(NumericalError):

@@ -33,7 +33,7 @@ MATRIX_TOL = 1e-10  # hermiticity, commutation, reconstruction, route products
 GROUP_TOL = 1e-8  # eigenvalues this close share a group
 LABEL_TOL = 1e-9  # an eigenvalue this close to a short decimal is labelled by it
 # Absolute, for unit-scale objects:
-UNIT_TOL = 1e-10  # density matrices, state norms, eigenbases, probe deviation
+UNIT_TOL = 1e-10  # density matrices, state norms, probe deviation
 ZERO_TOL = 1e-12  # an outcome this unlikely has no post-measurement state
 DISTANCE_TOL = 1e-8  # default trace distance up to which two states are EQUAL
 
@@ -56,6 +56,14 @@ def unit_scaled(v) -> tuple[np.ndarray, float]:
     parts = v.view(float)
     exponent = math.frexp(float(np.abs(parts).max(initial=0.0)))[1] - 1
     return np.ldexp(parts, -exponent).view(complex), 2.0**exponent
+
+
+def norm_deviation(v) -> float:
+    """``|norm(v) - 1|`` for a state vector, its squares summed without
+    overflow: through ``unit_scaled``, so wherever no square in ``norm(v)``
+    overflows or underflows the result is bit for bit the plain formula's."""
+    unit, scale = unit_scaled(v)
+    return abs(float(np.linalg.norm(unit)) * scale - 1.0)
 
 
 def as_matrix(m) -> np.ndarray:
@@ -152,8 +160,7 @@ class DensityMatrix:
         projector, so its trace ``norm(v)²`` is held to ``UNIT_TOL`` too.
         """
         v = np.asarray(vector, dtype=complex).reshape(-1)
-        unit, scale = unit_scaled(v)  # a norm past the float range stays finite
-        dev = abs(float(np.linalg.norm(unit)) * scale - 1.0)
+        dev = norm_deviation(v)
         if dev > UNIT_TOL:
             raise InvariantError(f"norm deviates from 1 by {dev:.3e}")
         return cls(np.outer(v, v.conj()))

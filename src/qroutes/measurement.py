@@ -1,9 +1,10 @@
 """Spectral decomposition of observables and projective state updates.
 
-An observable is carried together with its eigenvalue groups: one group
-per distinct eigenvalue, each holding an orthonormal basis of its
-eigenspace; its projector and von Neumann refinement basis are derived on
-demand. The two update rules differ exactly where degeneracy appears:
+An observable is built from its matrix alone, which it decomposes into
+eigenvalue groups: one group per distinct eigenvalue, each holding an
+orthonormal basis of its eigenspace; its projector and von Neumann
+refinement basis are derived on demand. The two update rules differ
+exactly where degeneracy appears:
 
 * Lueders:     rho' = sum_n  P_n rho P_n          (one term per group)
 * von Neumann: rho' = sum_ni |x_ni><x_ni| rho |x_ni><x_ni|   (rank one)
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -30,7 +31,6 @@ from .errors import (
 from .linalg import (
     GROUP_TOL,
     MATRIX_TOL,
-    UNIT_TOL,
     ZERO_TOL,
     DensityMatrix,
     as_matrix,
@@ -92,47 +92,71 @@ class EigenGroup:
 
 @dataclass(frozen=True, eq=False)
 class Observable:
-    """A Hermitian operator plus its grouped eigensystem.
+    """A Hermitian operator plus its grouped eigensystem, derived from the matrix.
 
-    Groups are ordered by descending eigenvalue. Invariants (basis rows of
-    the matrix's length, distinct eigenvalues, at least one basis row per
-    group, degeneracies summing to the dimension, an orthonormal and
-    complete stacked basis, reconstruction of the matrix) are checked on
-    construction, each failure raising InvariantError. The basis checks
-    are absolute; reconstruction is checked to ``scaled_tol(MATRIX_TOL,
-    matrix)``. The updates read only projectors, so any orthonormal basis
-    of an eigenspace does as well.
+    ``Observable(m, *, label="")`` decomposes ``m`` itself: ``groups`` is
+    never passed in. It holds one ``EigenGroup`` per distinct eigenvalue,
+    ordered by descending eigenvalue, whose stacked bases are the
+    orthonormal, complete eigenbasis ``hermitian_eigendecomposition``
+    returns. The updates read only projectors, so any orthonormal basis of
+    an eigenspace does as well.
+
+    The grouping band scales with the spectrum: ``band = GROUP_TOL ·
+    max(1, max |λ|)``, so rescaling ``m`` rescales the band with it.
+    Eigenvalues closer than ``band`` are merged into one group, whose
+    eigenvalue is their mean; the groups must then reconstruct ``m`` within
+    ``scaled_tol(MATRIX_TOL, m)``, else InvariantError. Spacings inside the
+    open band (band, 10·band) are refused with AmbiguousGroupingError: they
+    are too wide to merge and too narrow to split with confidence. So is a
+    group whose gaps are each at most ``band`` but whose spread (largest
+    minus smallest eigenvalue) exceeds it: a chain of near-equal
+    eigenvalues. At unit scale ``diag(1, 1 + g, 0)`` so has four outcomes,
+    measured at the gaps listed (the boundaries between them are not
+    resolved):
+
+    * g <= 1.5e-10: 1 and 1 + g merge into one group;
+    * 2e-10 <= g <= 1e-8: InvariantError, the groups do not reconstruct;
+    * 1.01e-8 <= g <= 1e-7: AmbiguousGroupingError;
+    * g >= 1.5e-7: 1 and 1 + g split into two groups.
+
+    A group whose eigenvalues sum past the float range raises
+    InvariantError. The hermiticity check is
+    ``hermitian_eigendecomposition``'s, scaled by the entries of ``m``.
     """
 
     matrix: np.ndarray
-    groups: tuple[EigenGroup, ...]
-    label: str = ""
+    groups: tuple[EigenGroup, ...] = field(init=False)
+    label: str = field(default="", kw_only=True)
 
     def __post_init__(self):
         m = as_matrix(self.matrix).copy()  # frozen below; the caller's array stays writable
-        dim = m.shape[0]
-        if not self.groups:
-            raise InvariantError("observable needs at least one eigenvalue group")
-        lengths = {g.basis.shape[1] for g in self.groups} - {dim}
-        if lengths:
-            raise InvariantError(f"basis rows have length {min(lengths)}, the matrix dimension is {dim}")
-        vals = [g.eigenvalue for g in self.groups]
-        if any(a <= b for a, b in zip(vals, vals[1:])):
-            raise InvariantError(f"group eigenvalues must strictly decrease, got {vals}")
-        degs = [g.degeneracy for g in self.groups]
-        if 0 in degs:
-            raise InvariantError(f"eigenvalue {vals[degs.index(0)]} has an empty eigenspace basis")
-        if sum(degs) != dim:
-            raise InvariantError("group degeneracies must sum to the dimension")
-        # Every basis vector as a row, group after group: orthonormal rows make
-        # the projectors idempotent and pairwise orthogonal.
-        u = np.concatenate([g.basis for g in self.groups])
-        eye = np.eye(dim)
-        if abs(u.conj() @ u.T - eye).max() > UNIT_TOL:
-            raise InvariantError("eigenbasis is not orthonormal")
-        if abs(u.T @ u.conj() - eye).max() > UNIT_TOL:
-            raise InvariantError("eigenspace projectors do not sum to the identity")
-        rebuilt = (u.T * np.repeat(vals, degs)) @ u.conj()
+        vals, vecs = hermitian_eigendecomposition(m)
+        if not vals.size:
+            raise DimensionError("cannot decompose an empty matrix")
+        band = scaled_tol(GROUP_TOL, vals)
+        gaps = vals[:-1] - vals[1:]
+        split = gaps > band
+        ambiguous = split & (gaps < 10.0 * band)
+        if ambiguous.any():
+            gap = float(gaps[ambiguous.argmax()])  # the first, in descending order
+            raise AmbiguousGroupingError(
+                f"eigenvalue gap {gap:.3e} falls inside ({band:.3e}, {10 * band:.3e})"
+            )
+        bounds = [0, *(split.nonzero()[0] + 1).tolist(), len(vals)]
+        spread = float((vals[bounds[:-1]] - vals[np.array(bounds[1:]) - 1]).max())
+        if spread > band:
+            raise AmbiguousGroupingError(
+                f"eigenvalues merged into one group spread over {spread:.3e}, "
+                f"more than the grouping tolerance {band:.3e}"
+            )
+        spans = list(zip(bounds, bounds[1:]))
+        with np.errstate(over="ignore"):  # EigenGroup refuses a sum past the float range
+            means = [float(vals[a:b].sum() / (b - a)) for a, b in spans]  # np.mean, bit for bit
+        groups = tuple(EigenGroup(mean, vecs[:, a:b].T) for mean, (a, b) in zip(means, spans))
+        # Merging eigenvalues replaces each by its group's mean, which can
+        # move the matrix the groups stand for.
+        u = np.concatenate([g.basis for g in groups])
+        rebuilt = (u.T * np.repeat(means, np.diff(bounds))) @ u.conj()
         if abs(rebuilt - m).max() > scaled_tol(MATRIX_TOL, m):
             raise InvariantError(
                 "groups do not reconstruct the observable matrix; "
@@ -140,6 +164,7 @@ class Observable:
             )
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "groups", groups)
 
     @property
     def dim(self) -> int:
@@ -151,54 +176,8 @@ class Observable:
 
 
 def spectral_decompose(m, *, label: str = "") -> Observable:
-    """Group the eigensystem of a Hermitian matrix into distinct eigenvalues.
-
-    The grouping band scales with the spectrum: ``band = GROUP_TOL ·
-    max(1, max |λ|)``, so rescaling ``m`` rescales the band with it.
-    Eigenvalues closer than ``band`` are merged into one group, which the
-    ``Observable`` then holds to reconstructing ``m`` within
-    ``scaled_tol(MATRIX_TOL, m)``. Spacings inside the open band (band,
-    10·band) are refused with AmbiguousGroupingError: they are too wide to
-    merge and too narrow to split with confidence. So is a group whose gaps
-    are each at most ``band`` but whose spread (largest minus smallest
-    eigenvalue) exceeds it: a chain of near-equal eigenvalues. At unit
-    scale ``diag(1, 1 + g, 0)`` so has four outcomes, measured at the gaps
-    listed (the boundaries between them are not resolved):
-
-    * g <= 1.5e-10: 1 and 1 + g merge into one group;
-    * 2e-10 <= g <= 1e-8: InvariantError, the groups do not reconstruct;
-    * 1.01e-8 <= g <= 1e-7: AmbiguousGroupingError;
-    * g >= 1.5e-7: 1 and 1 + g split into two groups.
-
-    A group whose eigenvalues sum past the float range raises
-    InvariantError. The hermiticity check is
-    ``hermitian_eigendecomposition``'s, scaled by the entries of ``m``.
-    """
-    m = as_matrix(m)
-    vals, vecs = hermitian_eigendecomposition(m)
-    if not vals.size:
-        raise DimensionError("cannot decompose an empty matrix")
-    band = scaled_tol(GROUP_TOL, vals)
-    gaps = vals[:-1] - vals[1:]
-    split = gaps > band
-    ambiguous = split & (gaps < 10.0 * band)
-    if ambiguous.any():
-        gap = float(gaps[ambiguous.argmax()])  # the first, in descending order
-        raise AmbiguousGroupingError(
-            f"eigenvalue gap {gap:.3e} falls inside ({band:.3e}, {10 * band:.3e})"
-        )
-    bounds = [0, *(split.nonzero()[0] + 1).tolist(), len(vals)]
-    spread = float((vals[bounds[:-1]] - vals[np.array(bounds[1:]) - 1]).max())
-    if spread > band:
-        raise AmbiguousGroupingError(
-            f"eigenvalues merged into one group spread over {spread:.3e}, "
-            f"more than the grouping tolerance {band:.3e}"
-        )
-    spans = list(zip(bounds, bounds[1:]))
-    with np.errstate(over="ignore"):  # EigenGroup refuses a sum past the float range
-        means = [float(vals[a:b].sum() / (b - a)) for a, b in spans]  # np.mean, bit for bit
-    groups = tuple(EigenGroup(mean, vecs[:, a:b].T) for mean, (a, b) in zip(means, spans))
-    return Observable(matrix=m, groups=groups, label=label)
+    """The ``Observable`` of a Hermitian matrix: ``Observable(m, label=label)``."""
+    return Observable(m, label=label)
 
 
 def _eigenspace_basis(projector: np.ndarray, degeneracy: int) -> np.ndarray:

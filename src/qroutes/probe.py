@@ -16,7 +16,7 @@ from math import prod
 import numpy as np
 
 from .errors import CapacityError, DimensionError, NoStageError, NormalizationError
-from .linalg import LABEL_TOL, MAX_DIM, UNIT_TOL, DensityMatrix, scaled_tol
+from .linalg import LABEL_TOL, MAX_DIM, UNIT_TOL, DensityMatrix, norm_deviation, scaled_tol
 from .measurement import Observable
 
 
@@ -65,9 +65,9 @@ class TotalState:
                 f"vector length {v.size} != register dim {self.register_dim} x "
                 f"system dim {self.system_dim}"
             )
-        norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > UNIT_TOL:
-            raise NormalizationError(f"norm deviates from 1 by {abs(norm - 1.0):.3e}")
+        dev = norm_deviation(v)
+        if dev > UNIT_TOL:
+            raise NormalizationError(f"norm deviates from 1 by {dev:.3e}")
         v.setflags(write=False)
         object.__setattr__(self, "vector", v)
 

@@ -4,9 +4,11 @@ benchmark's patch points, pinned: changing them is a deliberate edit."""
 import ast
 import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import qroutes
 from qroutes import cli
@@ -98,6 +100,16 @@ def test_benchmark_trace_points_resolve():
 
 def test_eigen_group_holds_an_eigenvalue_and_a_basis():
     assert tuple(f.name for f in dataclasses.fields(qroutes.EigenGroup)) == ("eigenvalue", "basis")
+
+
+def test_an_observable_is_built_from_its_matrix_alone():
+    assert tuple(f.name for f in dataclasses.fields(qroutes.Observable)) == ("matrix", "groups", "label")
+    params = inspect.signature(qroutes.Observable).parameters
+    assert tuple(params) == ("matrix", "label")
+    assert params["label"].kind is inspect.Parameter.KEYWORD_ONLY
+    m = np.diag([1.0, 0.0])
+    with pytest.raises(TypeError):
+        qroutes.Observable(m, qroutes.Observable(m).groups)
 
 
 def test_eigendecomposition_returns_arrays():

@@ -1,8 +1,9 @@
-import dataclasses
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     clear_builtins,
@@ -36,9 +37,9 @@ from qroutes import (
     spectral_decompose,
     von_neumann_update,
 )
+from qroutes.linalg import UNIT_TOL
 
 A = np.diag([1, 1, 0]).astype(complex)
-B = np.diag([0, 1, 1]).astype(complex)
 C = np.diag([0, 1, 0]).astype(complex)
 
 ETA = np.array([0.6, 0.48j, -0.64], dtype=complex)  # |0.6|^2+|0.48|^2+|0.64|^2 = 1
@@ -46,6 +47,20 @@ ETA = np.array([0.6, 0.48j, -0.64], dtype=complex)  # |0.6|^2+|0.48|^2+|0.64|^2 
 
 def eta_density():
     return DensityMatrix.pure(ETA)
+
+
+def rotated_inside_eigenspaces(rng):
+    """``hermitian_eigendecomposition`` with the eigenvectors of each
+    eigenvalue (spectra spaced at least 1 apart) mixed by a random unitary."""
+
+    def solve(m):
+        vals, vecs = hermitian_eigendecomposition(m)
+        bounds = [0, *(np.flatnonzero(vals[:-1] - vals[1:] > 0.5) + 1), vals.size]
+        for a, b in zip(bounds, bounds[1:]):
+            vecs[:, a:b] = vecs[:, a:b] @ random_unitary(rng, b - a)
+        return vals, vecs
+
+    return solve
 
 
 class TestSpectralDecompose:
@@ -129,39 +144,54 @@ class TestSpectralDecompose:
                 assert g.projector.tobytes() == projector.tobytes()
                 assert g.refinement.tobytes() == np.array(refinement).tobytes()
 
+
+class TestObservableValidation:
     def test_merging_a_wide_real_gap_is_rejected(self):
         # Gaps below group_tol but far above eigensolver noise cannot be
         # absorbed into one group without breaking spectral reconstruction.
-        with pytest.raises(ValueError, match="grouping may be too coarse"):
-            spectral_decompose(np.diag([0.0, 5e-9]).astype(complex))
-
-
-class TestObservableValidation:
-    def test_rejects_unsorted_groups(self):
-        good = spectral_decompose(A)
-        with pytest.raises(ValueError):
-            Observable(matrix=good.matrix, groups=tuple(reversed(good.groups)))
-
-    def test_rejects_incomplete_groups(self):
-        good = spectral_decompose(A)
-        with pytest.raises(ValueError):
-            Observable(matrix=good.matrix, groups=good.groups[:1])
-
-    def test_rejects_mismatched_matrix(self):
-        good = spectral_decompose(A)
-        with pytest.raises(ValueError):
-            Observable(matrix=B, groups=good.groups)
+        message = "groups do not reconstruct the observable matrix; the eigenvalue grouping may be too coarse"
+        with pytest.raises(InvariantError, match=f"^{re.escape(message)}$") as caught:
+            Observable(np.diag([0.0, 5e-9]))
+        assert isinstance(caught.value, ValueError)
 
     def test_stores_a_read_only_copy_of_the_matrix(self):
         as_list = [[1, 0], [0, 0]]
-        groups = spectral_decompose(as_list).groups
-        assert Observable(matrix=as_list, groups=groups).dim == 2
+        assert Observable(as_list).dim == 2
         given = np.diag([1.0, 0.0]).astype(complex)
-        obs = Observable(matrix=given, groups=groups)
+        obs = Observable(given)
         assert not obs.matrix.flags.writeable
         assert given.flags.writeable
         given[0, 0] = 5.0
         assert obs.matrix[0, 0] == 1.0
+
+
+class TestStackedGroupBases:
+    """What ``Observable`` relies on without checking it: whichever solver
+    ``hermitian_eigendecomposition`` stands for, the group bases, stacked,
+    are orthonormal and complete, one group per distinct eigenvalue."""
+
+    SOLVERS = {
+        "lapack": lambda rng: hermitian_eigendecomposition,
+        "rotated": rotated_inside_eigenspaces,
+        "jacobi": lambda rng: jacobi_eigensystem,
+    }
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), spectrum=st.lists(st.integers(-3, 3), min_size=1, max_size=32))
+    def test_orthonormal_and_complete(self, solver, seed, spectrum):
+        rng = np.random.default_rng(seed)
+        m, _ = hermitian_with_spectrum(rng, spectrum)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(measurement, "hermitian_eigendecomposition", self.SOLVERS[solver](rng))
+            obs = Observable(m)
+        levels = sorted(set(spectrum), reverse=True)
+        assert obs.eigenvalues == pytest.approx(levels, abs=1e-9)
+        assert [g.degeneracy for g in obs.groups] == [spectrum.count(v) for v in levels]
+        u = np.concatenate([g.basis for g in obs.groups])
+        eye = np.eye(len(spectrum))
+        assert abs(u.conj() @ u.T - eye).max() <= UNIT_TOL
+        assert abs(u.T @ u.conj() - eye).max() <= UNIT_TOL
 
 
 class TestEigenGroup:
@@ -200,76 +230,6 @@ class TestEigenGroup:
         assert np.allclose(group.projector, [[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, 1]], atol=1e-15)
         assert group.projector is group.projector  # computed once
         assert np.allclose(group.refinement, group.basis, atol=1e-15)
-
-
-E = np.eye(3, dtype=complex)
-W = np.exp(-2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)  # unitary DFT
-
-
-def _good_groups():
-    return [EigenGroup(1.0, E[:2]), EigenGroup(0.0, E[2:])]
-
-
-def _rank_one_groups(u):
-    return [EigenGroup(v, row[None]) for v, row in zip((2.0, 1.0, 0.0), u)]
-
-
-def _empty_middle_group():
-    # Degeneracies 2 + 0 + 1 sum to the dimension, but no state has eigenvalue 0.5.
-    return [EigenGroup(1.0, E[:2]), EigenGroup(0.5, np.zeros((0, 3))), EigenGroup(0.0, E[2:])]
-
-
-def _overlapping_groups():
-    # Orthonormal rows within each group, but e0 sits in both groups.
-    return [EigenGroup(1.0, E[:1]), EigenGroup(0.0, E[:2])]
-
-
-def _projectors_off_identity():
-    # The DFT basis with its first column stretched by 2.7e-10 in norm^2:
-    # its rows are orthonormal to 0.9e-10, their projectors miss the
-    # identity by 2.7e-10.
-    return _rank_one_groups(W * [np.sqrt(1 + 2.7e-10), 1, 1])
-
-
-class TestObservableMessages:
-    """Every invariant check of ``Observable`` with its exact message."""
-
-    @pytest.mark.parametrize(
-        "make_groups, matrix, message",
-        [
-            (lambda: [], A, "observable needs at least one eigenvalue group"),
-            (lambda: [EigenGroup(1.0, E)], np.eye(4), "basis rows have length 3, the matrix dimension is 4"),
-            (lambda: _good_groups()[::-1], A, "group eigenvalues must strictly decrease, got [0.0, 1.0]"),
-            (_empty_middle_group, A, "eigenvalue 0.5 has an empty eigenspace basis"),
-            (lambda: _good_groups()[:1], A, "group degeneracies must sum to the dimension"),
-            (_overlapping_groups, A, "eigenbasis is not orthonormal"),
-            (_projectors_off_identity, np.diag([2, 1, 0]).astype(complex), "eigenspace projectors do not sum to the identity"),
-            (_good_groups, B, "groups do not reconstruct the observable matrix; the eigenvalue grouping may be too coarse"),
-        ],
-        ids=[
-            "empty", "row-length", "unsorted", "empty-group", "degeneracy-sum", "orthonormality", "completeness", "reconstruction",
-        ],
-    )
-    def test_message(self, make_groups, matrix, message):
-        with pytest.raises(InvariantError, match=f"^{re.escape(message)}$") as caught:
-            Observable(matrix=matrix, groups=tuple(make_groups()))
-        assert isinstance(caught.value, ValueError)
-
-    def test_good_groups_pass(self):
-        obs = Observable(matrix=A, groups=tuple(_good_groups()))
-        assert obs.eigenvalues == (1.0, 0.0)
-
-    def test_just_inside_every_threshold_passes(self):
-        # The first basis row 0.9e-10 longer in norm^2: orthonormality and
-        # completeness are 0.9e-10 off, and so is reconstruction against a
-        # matrix 1.8e-10 off A. Their thresholds stay at 1e-10.
-        stretched = E * [[np.sqrt(1 + 0.9e-10)], [1], [1]]
-        groups = (EigenGroup(1.0, stretched[:2]), EigenGroup(0.0, stretched[2:]))
-        Observable(matrix=np.diag([1 + 1.8e-10, 1, 0]), groups=groups)
-        # The DFT basis stretched as in the completeness case, 0.9e-10 in
-        # norm^2 instead of 2.7e-10.
-        rows = W * [np.sqrt(1 + 0.9e-10), 1, 1]
-        Observable(matrix=(rows.T * [2.0, 1.0, 0.0]) @ rows.conj(), groups=tuple(_rank_one_groups(rows)))
 
 
 class TestLudersUpdate:
@@ -334,51 +294,35 @@ class TestVonNeumannUpdate:
                 atol=1e-10,
             )
 
-    def test_depends_on_stored_basis(self):
-        # Rotating the stored basis inside the degenerate eigenspace of A
-        # moves neither rule: both read only the projectors.
+    def test_a_refinement_dephases_in_its_own_basis(self):
+        # Dephasing A's eigenspace in another basis is a measurement of a
+        # nondegenerate refinement of A: two refinements leave different
+        # states.
         rho = eta_density()
-        canonical = spectral_decompose(A)
         rot = np.eye(3, dtype=complex)
         rot[:2, :2] = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-        groups = list(canonical.groups)
-        groups[0] = dataclasses.replace(groups[0], basis=groups[0].basis @ rot.T)
-        rotated = Observable(matrix=A, groups=tuple(groups))
-        for update in (luders_update, von_neumann_update):
-            assert np.abs(update(rho, canonical).mat - update(rho, rotated).mat).max() <= 1e-12
-        # Dephasing A's eigenspace in another basis is a measurement of a
-        # nondegenerate refinement of A. Two refinements leave different
-        # states, while Lueders on A built from either eigenbasis cannot
-        # tell them apart.
-        fine = []
-        coarse = []
-        for u in (np.eye(3, dtype=complex), rot):
-            refined = spectral_decompose((u * [2.0, 1.0, 0.0]) @ u.conj().T)
-            fine.append(von_neumann_update(rho, refined).mat)
-            degenerate = Observable(A, (EigenGroup(1.0, u.T[:2]), EigenGroup(0.0, u.T[2:])))
-            coarse.append(luders_update(rho, degenerate).mat)
+        fine = [
+            von_neumann_update(rho, spectral_decompose((u * [2.0, 1.0, 0.0]) @ u.conj().T)).mat
+            for u in (np.eye(3, dtype=complex), rot)
+        ]
         assert np.abs(fine[0] - fine[1]).max() > 1e-3
-        assert np.abs(coarse[0] - coarse[1]).max() <= 1e-12
 
     def test_spectral_basis_ignores_the_solver_choice(self, monkeypatch):
-        # spectral_decompose derives each group's basis from its projector,
-        # so eigenvectors rotated inside a degenerate eigenspace, or taken
-        # from another solver, give the same fine-grained update.
+        # Both rules read only projectors, and the von Neumann rule derives
+        # each refinement basis from its projector, so eigenvectors rotated
+        # inside a degenerate eigenspace, or taken from another solver,
+        # give the same update under either rule.
         rng = np.random.default_rng(63)
         m, _ = hermitian_with_spectrum(rng, np.repeat([2.0, 0.0, -1.0], 3))
         rho = random_density(rng, 9)
-        reference = von_neumann_update(rho, spectral_decompose(m))
-
-        def rotated_eigh(mat):
-            vals, vecs = hermitian_eigendecomposition(mat)
-            for start in (0, 3, 6):
-                vecs[:, start:start + 3] = vecs[:, start:start + 3] @ random_unitary(rng, 3)
-            return vals, vecs
-
-        for solver in (rotated_eigh, jacobi_eigensystem):
+        obs = spectral_decompose(m)
+        updates = (luders_update, von_neumann_update)
+        reference = [update(rho, obs).mat for update in updates]
+        for solver in (rotated_inside_eigenspaces(rng), jacobi_eigensystem):
             monkeypatch.setattr(measurement, "hermitian_eigendecomposition", solver)
-            out = von_neumann_update(rho, spectral_decompose(m))
-            assert np.abs(out.mat - reference.mat).max() <= 1e-12
+            obs = spectral_decompose(m)
+            for update, expected in zip(updates, reference):
+                assert np.abs(update(rho, obs).mat - expected).max() <= 1e-12
 
 
 class TestRefinementOnDemand:

@@ -87,9 +87,15 @@ class TestInitTotal:
         assert total.system_dim == 3
         assert np.array_equal(total.vector, ETA)
 
-    def test_rejects_unnormalized_vector(self):
-        with pytest.raises(NormalizationError, match=r"^norm deviates from 1 by 4\.142e-01$"):
-            init_total(np.array([1.0, 1.0, 0.0], dtype=complex))
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "vector, deviation",
+        [([1.0, 1.0, 0.0], r"4\.142e-01"), ([1e200, 1e200], r"1\.414e\+200")],
+        ids=["unit-scale", "norm-past-the-float-range"],
+    )
+    def test_rejects_unnormalized_vector(self, vector, deviation):
+        with pytest.raises(NormalizationError, match=f"^norm deviates from 1 by {deviation}$"):
+            init_total(np.array(vector, dtype=complex))
 
 
 class TestInteract:
