@@ -23,6 +23,7 @@ from qroutes import (
     hermitian_eigendecomposition,
     trace_distance,
 )
+from qroutes.linalg import norm_deviation
 
 SQ3 = np.sqrt(3.0)
 
@@ -314,3 +315,19 @@ def test_partial_trace_of_product_state(rng):
     joint = np.kron(a, b)
     assert np.allclose(partial_trace(joint, [2, 4], 0), a, atol=1e-12)
     assert np.allclose(partial_trace(joint, [2, 4], 1), b, atol=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(min_value=-1e150, max_value=1e150).filter(lambda x: x == 0 or abs(x) >= 1e-150),
+            st.floats(min_value=-1e150, max_value=1e150).filter(lambda x: x == 0 or abs(x) >= 1e-150),
+        ),
+        min_size=1,
+        max_size=16,
+    )
+)
+def test_norm_deviation_is_the_plain_formula_where_no_square_leaves_the_range(parts):
+    v = np.array([complex(a, b) for a, b in parts])
+    assert np.float64(norm_deviation(v)).tobytes() == np.float64(abs(np.linalg.norm(v) - 1.0)).tobytes()

@@ -24,6 +24,7 @@ from qroutes import (
     DensityMatrix,
     DimensionError,
     EigenGroup,
+    HermiticityError,
     InvariantError,
     Observable,
     ProjectionRule,
@@ -163,6 +164,38 @@ class TestObservableValidation:
         assert given.flags.writeable
         given[0, 0] = 5.0
         assert obs.matrix[0, 0] == 1.0
+
+
+class TestObservableMessages:
+    """Every refusal an ``Observable`` can raise, from its matrix, with its exact message."""
+
+    @pytest.mark.parametrize(
+        "matrix, error, message",
+        [
+            (np.zeros((0, 0)), DimensionError, "cannot decompose an empty matrix"),
+            (np.ones((2, 3)), DimensionError, "expected a square matrix, got shape (2, 3)"),
+            (np.diag([1.0, np.nan]), DimensionError, "matrix contains non-finite entries"),
+            ([[0, 1], [0, 0]], HermiticityError, "max |m - m†| = 1.000e+00 exceeds tolerance 1.000e-10"),
+            (np.diag([1, 1 + 3e-8, 0]), AmbiguousGroupingError, "eigenvalue gap 3.000e-08 falls inside (1.000e-08, 1.000e-07)"),
+            # Each gap 6e-9 is inside the band 1e-8; the chain spans 1.2e-8.
+            (
+                np.diag([0, 6e-9, 1.2e-8]),
+                AmbiguousGroupingError,
+                "eigenvalues merged into one group spread over 1.200e-08, more than the grouping tolerance 1.000e-08",
+            ),
+            (np.diag([1.7e308, 1.7e308]), InvariantError, "eigenvalue inf is outside the float range"),
+            # The README's diag(1, 1 + g, 0) at a gap g that merges but does not reconstruct.
+            (
+                np.diag([1, 1 + 5e-9, 0]),
+                InvariantError,
+                "groups do not reconstruct the observable matrix; the eigenvalue grouping may be too coarse",
+            ),
+        ],
+        ids=["empty", "not-square", "non-finite", "not-hermitian", "ambiguous-gap", "spread", "overflow", "reconstruction"],
+    )
+    def test_message(self, matrix, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            Observable(matrix)
 
 
 class TestStackedGroupBases:
