@@ -1,8 +1,9 @@
 """Command-line front end: run, list and validate scenarios.
 
 Human output is fixed to six decimals; the machine format (--format json)
-is full precision, self-describing and byte-stable for identical inputs,
-so it can be diffed across runs.
+is full precision and byte-stable for identical inputs, so it can be
+diffed across runs. It names its input by digest: the scenario's fields
+as in its file, except that each observable is its matrix's SHA-256.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .errors import InputError, NumericalError, ParseError, UnknownScenarioError
 from .linalg import unit_scaled
 from .measurement import ProjectionRule
 from .scenarios import RunReport, Scenario, builtin, builtin_descriptions, encode_complex_array
-from .scenarios import parse_scenario, run_scenario, scenario_document, write_json
+from .scenarios import observable_digest, parse_scenario, run_scenario, scenario_document, write_json
 
 
 def _complex_cell(z: complex) -> str:
@@ -82,7 +83,8 @@ def render_machine(report: RunReport) -> str:
     s = report.scenario
     cmp = report.comparison
     payload = {
-        "scenario": scenario_document(s),
+        "format": 2,
+        "scenario": scenario_document(s, observable_digest),
         "rule": s.rule.value,
         "tolerance": cmp.tolerance,
         "target": cmp.target_label,

@@ -66,7 +66,7 @@ class TotalState:
                 f"system dim {self.system_dim}"
             )
         dev = norm_deviation(v)
-        if dev > UNIT_TOL:
+        if not dev <= UNIT_TOL:  # NaN too
             raise NormalizationError(f"norm deviates from 1 by {dev:.3e}")
         v.setflags(write=False)
         object.__setattr__(self, "vector", v)

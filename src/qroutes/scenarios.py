@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 import itertools
 import json
 import reprlib
@@ -412,26 +413,30 @@ def _block(brackets: str, items: list[str], pad: str) -> str:
 
 def _array_template(shape: tuple[int, ...], pad: str) -> str:
     if not shape:
-        return "%r"
+        return "%s"
     return _block("[]", [_array_template(shape[1:], pad + "  ")] * shape[0], pad)
 
 
 def _key(key) -> str:
     # json.dumps writes a non-string key as the string of its JSON scalar.
-    return json.dumps(key if isinstance(key, str) else json.dumps(key))
+    return json.dumps(key if isinstance(key, str) else json.dumps(key)).replace("%", "%%")
 
 
-def _write(node, level: int) -> str:
+def _write(node, level: int, floats: list[np.ndarray]) -> str:
+    """``node`` as a %-template of its JSON text: each entry of a finite float
+    array is a ``%s`` field, the array is appended to ``floats`` in document
+    order, and every other ``%`` is doubled."""
     pad = "\n" + "  " * level
     if isinstance(node, np.ndarray):
         if node.dtype.kind == "f" and node.size and np.isfinite(node).all():
-            # float repr is the spelling json.dumps uses for finite floats.
-            return _array_template(node.shape, pad) % tuple(node.ravel().tolist())
+            floats.append(node)
+            return _array_template(node.shape, pad)
         text = json.dumps(node.tolist(), indent=2)  # .tolist() may nest
     elif isinstance(node, dict) and any(isinstance(v, _NESTED) for v in node.values()):
-        return _block("{}", [f"{_key(k)}: {_write(v, level + 1)}" for k, v in node.items()], pad)
+        items = [f"{_key(k)}: {_write(v, level + 1, floats)}" for k, v in node.items()]
+        return _block("{}", items, pad)
     elif isinstance(node, (list, tuple)) and any(isinstance(v, _NESTED) for v in node):
-        return _block("[]", [_write(v, level + 1) for v in node], pad)
+        return _block("[]", [_write(v, level + 1, floats) for v in node], pad)
     else:
         # Without indent json.dumps runs the C encoder; the separator puts
         # each item on its own line, and the brackets get theirs here.
@@ -439,13 +444,25 @@ def _write(node, level: int) -> str:
         if isinstance(node, (dict, list, tuple)) and node:
             text = f"{text[0]}\n  {text[1:-1]}\n{text[-1]}"
     # JSON text holds no raw newline outside indentation, so this re-indents.
-    return text.replace("\n", pad)
+    return text.replace("\n", pad).replace("%", "%%")
 
 
 def write_json(doc) -> str:
     """``json.dumps(doc, indent=2) + "\\n"`` byte for byte, with every
     ``ndarray`` in ``doc`` written as its nested lists would be."""
-    return _write(doc, 0) + "\n"
+    floats: list[np.ndarray] = []
+    template = _write(doc, 0, floats) + "\n"
+    if not floats:
+        return template % ()
+    # float repr is the spelling json.dumps uses for finite floats, and
+    # repr(-x) == "-" + repr(x), so each distinct magnitude is spelled once:
+    # a Hermitian matrix repeats each of its magnitudes, and zeros abound.
+    flat = np.concatenate([a.ravel() for a in floats])
+    magnitudes, index = np.unique(np.abs(flat), return_inverse=True)
+    words = [repr(x) for x in magnitudes.tolist()]
+    words += ["-" + w for w in words]
+    signed = index + len(magnitudes) * np.signbit(flat)
+    return template % tuple(map(words.__getitem__, signed.tolist()))
 
 
 # The keys scenario_document writes, and the only ones parse_scenario accepts.
@@ -581,8 +598,21 @@ def parse_scenario(text: str) -> Scenario:
     )
 
 
-def scenario_document(s: Scenario) -> dict:
-    """The file form of a Scenario as dicts, lists and arrays, for ``write_json``."""
+def observable_digest(o: Observable) -> dict:
+    """How a run report names an input observable: the SHA-256 of its matrix
+    as little-endian complex128 bytes in row-major order."""
+    return {"sha256": hashlib.sha256(np.asarray(o.matrix, "<c16").tobytes()).hexdigest()}
+
+
+def _observable_matrix(o: Observable) -> np.ndarray:
+    return encode_complex_array(o.matrix)
+
+
+def scenario_document(s: Scenario, observable_node=_observable_matrix) -> dict:
+    """The file form of a Scenario as dicts, lists and arrays, for ``write_json``.
+
+    ``observable_node`` gives each observable's entry; a run report passes
+    ``observable_digest`` instead of the matrix."""
     if isinstance(s.initial_state, DensityMatrix):
         state_node = {"density_matrix": encode_complex_array(s.initial_state.mat)}
     else:
@@ -591,9 +621,7 @@ def scenario_document(s: Scenario) -> dict:
         "name": s.name,
         "system_dim": s.system_dim,
         "initial_state": state_node,
-        "observables": {
-            label: encode_complex_array(o.matrix) for label, o in s.observables.items()
-        },
+        "observables": {label: observable_node(o) for label, o in s.observables.items()},
         "routes": [
             {"name": r.name, "steps": list(r.steps), "rule": r.rule.value}
             for r in s.routes

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -11,11 +12,16 @@ import pytest
 
 import qroutes
 from helpers import clear_builtins, degenerate_scenario
-from qroutes import RouteTargetWarning, builtin, cli, scenarios, serialize_scenario
+from qroutes import RouteTargetWarning, builtin, cli, parse_scenario, scenarios, serialize_scenario
 from qroutes.cli import main, render_machine, run_scenario
 from qroutes.scenarios import encode_complex_array
 
 AMP = "0.7071067811865476,0,0.7071067811865476"
+
+
+def sha256_of(m) -> str:
+    """The digest a format-2 report gives an observable matrix."""
+    return hashlib.sha256(np.asarray(m, "<c16").tobytes()).hexdigest()
 
 
 def run_cli(capsys, *argv):
@@ -151,13 +157,30 @@ class TestRunJson:
         doc = json.loads(target.read_text())
         assert doc["scenario"]["name"] == "qutrit-paper"
 
+    def test_format_2_names_each_observable_by_its_digest(self, capsys, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(serialize_scenario(degenerate_scenario(3)))
+        code, out, _ = run_cli(capsys, "run", str(path), "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert next(iter(doc)) == "format"
+        assert doc["format"] == 2
+        observables = parse_scenario(path.read_text()).observables
+        assert doc["scenario"]["observables"] == {
+            label: {"sha256": sha256_of(o.matrix)} for label, o in observables.items()
+        }
+
 
 def _legacy_render_machine(report) -> str:
     """Reference rendering of the JSON report: the scenario passes through
-    ``serialize_scenario`` and ``json.loads``, and every final-state entry
-    through ``float(z.real), float(z.imag)``."""
+    ``serialize_scenario`` and ``json.loads``, each observable becomes the
+    SHA-256 of its matrix, and every final-state entry passes through
+    ``float(z.real), float(z.imag)``."""
     doc = json.loads(render_machine(report))
     doc["scenario"] = json.loads(serialize_scenario(report.scenario))
+    doc["scenario"]["observables"] = {
+        label: {"sha256": sha256_of(o.matrix)} for label, o in report.scenario.observables.items()
+    }
     for entry, state in zip(doc["routes"], report.comparison.final_states):
         entry["final_state"] = [[[float(z.real), float(z.imag)] for z in row] for row in state.mat]
     return json.dumps(doc, indent=2) + "\n"
@@ -472,7 +495,9 @@ class TestValidateAgreesWithRun:
             code, out, err = run_cli(capsys, "run", str(path), "--format", "json")
         assert (code, err) == (0, "")
         report = json.loads(out, parse_constant=_refuse_non_finite)
-        assert report["scenario"]["observables"]["A"][1][0] == [1e308, 0.0]
+        a = parse_scenario(path.read_text()).observables["A"].matrix
+        assert a[1, 0] == 1e308
+        assert report["scenario"]["observables"]["A"] == {"sha256": sha256_of(a)}
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize(

@@ -90,8 +90,8 @@ class TestInitTotal:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "vector, deviation",
-        [([1.0, 1.0, 0.0], r"4\.142e-01"), ([1e200, 1e200], r"1\.414e\+200")],
-        ids=["unit-scale", "norm-past-the-float-range"],
+        [([1.0, 1.0, 0.0], r"4\.142e-01"), ([1e200, 1e200], r"1\.414e\+200"), ([np.nan, 0.0], "nan")],
+        ids=["unit-scale", "norm-past-the-float-range", "nan"],
     )
     def test_rejects_unnormalized_vector(self, vector, deviation):
         with pytest.raises(NormalizationError, match=f"^norm deviates from 1 by {deviation}$"):

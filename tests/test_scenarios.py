@@ -364,8 +364,11 @@ ARRAYS = hnp.arrays(
 SCALARS = (
     st.none() | st.booleans() | st.integers(-(2**70), 2**70) | EDGE_FLOATS | st.floats() | st.text()
 )
+# An array beside its negation and its magnitudes: each magnitude written
+# with both signs, within one array and across several.
+MIRRORED = ARRAYS.map(lambda a: [a, -a, np.concatenate([np.abs(a).ravel(), -a.ravel()])])
 DOCUMENTS = st.recursive(
-    SCALARS | ARRAYS,
+    SCALARS | ARRAYS | MIRRORED,
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=10,
@@ -399,6 +402,19 @@ class TestWriteJson:
         # array_equal alone would not see the sign of a zero.
         assert np.array_equal(back.view(np.float64), z.view(np.float64))
         assert np.array_equal(np.signbit(back.view(np.float64)), np.signbit(z.view(np.float64)))
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            np.array([0.25, -0.25, 0.0, -0.0, 0.25, -0.0]),
+            {"a": np.array([[0.1, -0.0], [-0.1, 0.0]]), "b": [np.array([-0.1, 0.0, -0.0, 0.1]), -0.1]},
+            encode_complex_array(random_density(np.random.default_rng(5), 4).mat),
+            {"%s": [np.array([-1e-5]), "100%%"], "%d": {"%": 1e-5, "%r": np.array([])}},
+        ],
+        ids=["one-array", "two-arrays", "density-matrix", "percent-signs"],
+    )
+    def test_matches_json_dumps_on_chosen_documents(self, doc):
+        assert write_json(doc) == json.dumps(as_lists(doc), indent=2) + "\n"
 
 
 def dataclass_with_density(scenario, rho):
