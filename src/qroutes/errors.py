@@ -31,13 +31,13 @@ class HermiticityError(NumericalError):
 
 class InvariantError(NumericalError, ValueError):
     """A ``DensityMatrix`` or ``Observable`` invariant does not hold: a
-    state's trace or positivity, or an eigenvalue grouping's finite
-    eigenvalues or reconstruction."""
+    state's trace or positivity, or a group eigenvalue (the mean of the
+    eigenvalues merged into it) inside the float range."""
 
 
 class AmbiguousGroupingError(NumericalError):
-    """Eigenvalue spacing falls inside the undecidable band around the
-    grouping tolerance, so degenerate clusters cannot be formed reliably."""
+    """Eigenvalues cannot be grouped with confidence: a gap inside the band around
+    the grouping tolerance, or a merged group spread wider than the merge tolerance."""
 
 
 class ZeroProbabilityError(NumericalError):

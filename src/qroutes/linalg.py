@@ -29,7 +29,7 @@ MAX_DIM = 1024
 
 # Tolerance policy: the only threshold literals in the package.
 # Scaled by the input through ``scaled_tol``:
-MATRIX_TOL = 1e-10  # hermiticity, commutation, reconstruction, route products
+MATRIX_TOL = 1e-10  # hermiticity, commutation, merged eigenvalues' spread, route products
 GROUP_TOL = 1e-8  # eigenvalues this close share a group
 LABEL_TOL = 1e-9  # an eigenvalue this close to a short decimal is labelled by it
 # Absolute, for unit-scale objects:

@@ -103,24 +103,20 @@ class Observable:
 
     The grouping band scales with the spectrum: ``band = GROUP_TOL ·
     max(1, max |λ|)``, so rescaling ``m`` rescales the band with it.
-    Eigenvalues closer than ``band`` are merged into one group, whose
-    eigenvalue is their mean; the groups must then reconstruct ``m`` within
-    ``scaled_tol(MATRIX_TOL, m)``, else InvariantError. Spacings inside the
-    open band (band, 10·band) are refused with AmbiguousGroupingError: they
-    are too wide to merge and too narrow to split with confidence. So is a
-    group whose gaps are each at most ``band`` but whose spread (largest
-    minus smallest eigenvalue) exceeds it: a chain of near-equal
-    eigenvalues. At unit scale ``diag(1, 1 + g, 0)`` so has four outcomes,
-    measured at the gaps listed (the boundaries between them are not
-    resolved):
-
-    * g <= 1.5e-10: 1 and 1 + g merge into one group;
-    * 2e-10 <= g <= 1e-8: InvariantError, the groups do not reconstruct;
-    * 1.01e-8 <= g <= 1e-7: AmbiguousGroupingError;
-    * g >= 1.5e-7: 1 and 1 + g split into two groups.
+    Neighbouring eigenvalues at most ``band`` apart merge into one group,
+    whose eigenvalue is their mean. AmbiguousGroupingError refuses a gap
+    inside (band, 10·band), too wide to merge and too narrow to split with
+    confidence, and a merged group whose spread (largest minus smallest
+    eigenvalue) exceeds the merge tolerance ``scaled_tol(MATRIX_TOL, m)``.
+    The means move ``m`` by a Hermitian matrix of spectral norm at most the
+    largest spread, so every accepted ``m`` is rebuilt from its groups
+    within that tolerance, up to ``eigh``'s rounding. At unit scale
+    ``diag(1, 1 + g, 0)`` merges for g <= 9.9e-11, is refused for
+    1e-10 <= g <= 1e-7 (by its spread up to 1e-8, by its gap above), and
+    splits for g >= 1.0000001e-7.
 
     A group whose eigenvalues sum past the float range raises
-    InvariantError. The hermiticity check is
+    InvariantError, whatever its spread. The hermiticity check is
     ``hermitian_eigendecomposition``'s, scaled by the entries of ``m``.
     """
 
@@ -143,24 +139,16 @@ class Observable:
                 f"eigenvalue gap {gap:.3e} falls inside ({band:.3e}, {10 * band:.3e})"
             )
         bounds = [0, *(split.nonzero()[0] + 1).tolist(), len(vals)]
-        spread = float((vals[bounds[:-1]] - vals[np.array(bounds[1:]) - 1]).max())
-        if spread > band:
-            raise AmbiguousGroupingError(
-                f"eigenvalues merged into one group spread over {spread:.3e}, "
-                f"more than the grouping tolerance {band:.3e}"
-            )
         spans = list(zip(bounds, bounds[1:]))
         with np.errstate(over="ignore"):  # EigenGroup refuses a sum past the float range
             means = [float(vals[a:b].sum() / (b - a)) for a, b in spans]  # np.mean, bit for bit
         groups = tuple(EigenGroup(mean, vecs[:, a:b].T) for mean, (a, b) in zip(means, spans))
-        # Merging eigenvalues replaces each by its group's mean, which can
-        # move the matrix the groups stand for.
-        u = np.concatenate([g.basis for g in groups])
-        rebuilt = (u.T * np.repeat(means, np.diff(bounds))) @ u.conj()
-        if abs(rebuilt - m).max() > scaled_tol(MATRIX_TOL, m):
-            raise InvariantError(
-                "groups do not reconstruct the observable matrix; "
-                "the eigenvalue grouping may be too coarse"
+        spread = float(max(vals[a] - vals[b - 1] for a, b in spans))
+        limit = scaled_tol(MATRIX_TOL, m)
+        if spread > limit:
+            raise AmbiguousGroupingError(
+                f"eigenvalues merged into one group spread over {spread:.3e}, "
+                f"more than the merge tolerance {limit:.3e}"
             )
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

@@ -9,6 +9,7 @@ C = A·B. Whether the final states coincide is rule- and state-dependent;
 from __future__ import annotations
 
 import enum
+import reprlib
 import warnings
 from dataclasses import dataclass
 from typing import Mapping
@@ -44,7 +45,10 @@ class Route:
     name: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
+        steps = self.steps if isinstance(self.steps, str) else tuple(self.steps)
+        if isinstance(steps, str) or not all(isinstance(s, str) for s in steps):
+            raise TypeError(f"route steps must be a sequence of labels, got {reprlib.repr(steps)}")
+        object.__setattr__(self, "steps", steps)
         if not self.steps:
             raise ValueError("a route needs at least one step")
 
@@ -79,6 +83,13 @@ class ComparisonReport:
     @property
     def all_equal(self) -> bool:
         return all(v is Verdict.EQUAL for row in self.verdicts for v in row)
+
+
+def _tolerance_problem(tol: float) -> str:
+    """Why ``tol`` cannot be an EQUAL threshold on trace distance; "" if it can."""
+    if not tol > 0:
+        return f"tolerance: must be positive, got {tol}"
+    return "" if np.isfinite(tol) else f"tolerance: must be finite, got {tol}"
 
 
 def commutes(a: Observable, b: Observable) -> bool:
@@ -146,7 +157,9 @@ def compare_routes(
     target: str,
     tol: float = DISTANCE_TOL,
 ) -> ComparisonReport:
-    """Run every route and compare all final states pairwise."""
+    """Run every route and compare all final states pairwise; ``tol`` must be positive and finite."""
+    if problem := _tolerance_problem(tol):
+        raise ValueError(problem)
     if len(routes) < 2:
         raise ValueError(f"need at least 2 routes to compare, got {len(routes)}")
     if target not in registry:

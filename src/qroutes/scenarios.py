@@ -30,7 +30,7 @@ from .errors import ParseError, UnknownScenarioError, ValidationError
 from .linalg import DISTANCE_TOL, MAX_DIM, UNIT_TOL, DensityMatrix
 from .measurement import Observable, ProjectionRule, spectral_decompose
 from .probe import init_total, interact, probe_signal_distribution, reduced_system_state, stage_labels_for
-from .routes import ComparisonReport, Route, compare_routes, run_route
+from .routes import ComparisonReport, Route, _tolerance_problem, compare_routes, run_route
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -126,10 +126,8 @@ class Scenario:
                     out.append(f"routes[{i}]: unresolved label {step!r}")
         if self.target not in registry:
             out.append(f"target: unresolved label {self.target!r}")
-        if not self.tolerance > 0:
-            out.append(f"tolerance: must be positive, got {self.tolerance}")
-        elif not np.isfinite(self.tolerance):
-            out.append(f"tolerance: must be finite, got {self.tolerance}")
+        if problem := _tolerance_problem(self.tolerance):
+            out.append(problem)
         return out
 
     def initial_density(self) -> DensityMatrix:

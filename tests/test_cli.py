@@ -412,7 +412,7 @@ VIOLATIONS = [
     (
         "merged-below-unit-scale",
         _put("observables", "A", _diag(0.0, 1e-9, 2e-9)),
-        "observables.A: groups do not reconstruct the observable matrix; the eigenvalue grouping may be too coarse",
+        "observables.A: eigenvalues merged into one group spread over 2.000e-09, more than the merge tolerance 1.000e-10",
     ),
     (
         "system-dim-4001-digits",
@@ -651,7 +651,7 @@ def _raise(exc):
 
 def _coarse_grouping(doc):
     # Eigenvalues 1, 5e-9, 0: the last two merge (gap <= 1e-8), and the
-    # merged group cannot reconstruct the matrix.
+    # merged group spreads wider than the merge tolerance 1e-10.
     doc["observables"]["A"] = [
         [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
         [[0.0, 0.0], [5e-9, 0.0], [0.0, 0.0]],
@@ -685,15 +685,15 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_reconstruction_failure_is_an_input_problem(self, capsys, tmp_path, command):
-        # spectral_decompose raises InvariantError (exit 3 for a library
-        # caller); a scenario reports it as a violation of its observable.
+        # spectral_decompose raises AmbiguousGroupingError (exit 3 for a
+        # library caller); a scenario reports it as a violation of its observable.
         path = _scenario_file(tmp_path, _coarse_grouping)
         code, out, err = run_cli(capsys, command, path)
         prefix = "error: " if command == "run" else ""
         assert (code, out) == (2, "")
         assert err == (
-            f"{prefix}observables.A: groups do not reconstruct the observable "
-            "matrix; the eigenvalue grouping may be too coarse\n"
+            f"{prefix}observables.A: eigenvalues merged into one group spread "
+            "over 5.000e-09, more than the merge tolerance 1.000e-10\n"
         )
 
 

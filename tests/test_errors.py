@@ -165,7 +165,7 @@ def test_validated_files_exit_2_only_for_the_named_probe_refusals(
     k=st.integers(0, 6),
 )
 @example(seed=0, dim=3, log_gap=np.log10(3e-8), k=0)  # inside the band
-@example(seed=0, dim=3, log_gap=-9.0, k=0)  # merged, but too wide to reconstruct
+@example(seed=0, dim=3, log_gap=-9.0, k=0)  # inside the band, but spread wider than the merge tolerance
 @example(seed=0, dim=3, log_gap=-6.0, k=6)  # split cleanly at scale
 def test_validate_and_run_agree_on_a_near_degenerate_gap(capsys, tmp_path, seed, dim, log_gap, k):
     rng = np.random.default_rng(seed)

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -38,7 +38,7 @@ from qroutes import (
     spectral_decompose,
     von_neumann_update,
 )
-from qroutes.linalg import UNIT_TOL
+from qroutes.linalg import MATRIX_TOL, UNIT_TOL, scaled_tol
 
 A = np.diag([1, 1, 0]).astype(complex)
 C = np.diag([0, 1, 0]).astype(complex)
@@ -150,10 +150,9 @@ class TestObservableValidation:
     def test_merging_a_wide_real_gap_is_rejected(self):
         # Gaps below group_tol but far above eigensolver noise cannot be
         # absorbed into one group without breaking spectral reconstruction.
-        message = "groups do not reconstruct the observable matrix; the eigenvalue grouping may be too coarse"
-        with pytest.raises(InvariantError, match=f"^{re.escape(message)}$") as caught:
+        message = "eigenvalues merged into one group spread over 5.000e-09, more than the merge tolerance 1.000e-10"
+        with pytest.raises(AmbiguousGroupingError, match=f"^{re.escape(message)}$"):
             Observable(np.diag([0.0, 5e-9]))
-        assert isinstance(caught.value, ValueError)
 
     def test_stores_a_read_only_copy_of_the_matrix(self):
         as_list = [[1, 0], [0, 0]]
@@ -181,14 +180,14 @@ class TestObservableMessages:
             (
                 np.diag([0, 6e-9, 1.2e-8]),
                 AmbiguousGroupingError,
-                "eigenvalues merged into one group spread over 1.200e-08, more than the grouping tolerance 1.000e-08",
+                "eigenvalues merged into one group spread over 1.200e-08, more than the merge tolerance 1.000e-10",
             ),
             (np.diag([1.7e308, 1.7e308]), InvariantError, "eigenvalue inf is outside the float range"),
-            # The README's diag(1, 1 + g, 0) at a gap g that merges but does not reconstruct.
+            # The README's diag(1, 1 + g, 0) at a gap g inside the band but wider than the merge tolerance.
             (
                 np.diag([1, 1 + 5e-9, 0]),
-                InvariantError,
-                "groups do not reconstruct the observable matrix; the eigenvalue grouping may be too coarse",
+                AmbiguousGroupingError,
+                "eigenvalues merged into one group spread over 5.000e-09, more than the merge tolerance 1.000e-10",
             ),
         ],
         ids=["empty", "not-square", "non-finite", "not-hermitian", "ambiguous-gap", "spread", "overflow", "reconstruction"],
@@ -196,6 +195,35 @@ class TestObservableMessages:
     def test_message(self, matrix, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             Observable(matrix)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    log_jitter=st.floats(-16, -6),
+    k=st.integers(0, 6),
+)
+@example(seed=7, sizes=[3, 1], log_jitter=-10.5, k=0)  # merged, spread near the merge tolerance
+@example(seed=7, sizes=[3, 1], log_jitter=-9.0, k=6)  # refused by its spread
+def test_accepted_groups_rebuild_the_matrix(seed, sizes, log_jitter, k):
+    """The rebuilt-matrix check construction no longer makes, kept as an
+    oracle: clusters of eigenvalues jittered from rounding level to past the
+    grouping band, at scales 10^0 to 10^6. Whatever ``Observable`` accepts,
+    its group means rebuild ``m`` within ``scaled_tol(MATRIX_TOL, m)``; what
+    it refuses, it refuses with AmbiguousGroupingError."""
+    rng = np.random.default_rng(seed)
+    levels = rng.normal(size=len(sizes)) * 3
+    jitter = rng.uniform(-1, 1, size=sum(sizes)) * 10.0**log_jitter
+    m, _ = hermitian_with_spectrum(rng, (np.repeat(levels, sizes) + jitter) * 10.0**k)
+    try:
+        obs = Observable(m)
+    except AmbiguousGroupingError:
+        return
+    u = np.concatenate([g.basis for g in obs.groups])
+    means = np.repeat(obs.eigenvalues, [g.degeneracy for g in obs.groups])
+    rebuilt = (u.T * means) @ u.conj()
+    assert abs(rebuilt - m).max() <= scaled_tol(MATRIX_TOL, m)
 
 
 class TestStackedGroupBases:

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from qroutes import (
     Route,
     RouteTargetWarning,
     UnknownLabelError,
+    ValidationError,
     Verdict,
     builtin,
     commutes,
@@ -112,6 +116,18 @@ class TestRunRoute:
     def test_route_requires_steps(self):
         with pytest.raises(ValueError):
             Route(steps=())
+
+    @pytest.mark.parametrize(
+        "steps, shown", [("M3", "'M3'"), (("M1", 2), "('M1', 2)"), ([None], "(None,)")]
+    )
+    def test_route_refuses_steps_that_are_not_labels(self, steps, shown):
+        # A string is a sequence of one-character labels; it is refused, not split.
+        message = f"route steps must be a sequence of labels, got {shown}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            Route(steps)
+
+    def test_route_takes_any_iterable_of_labels(self):
+        assert Route(label for label in ("A", "B")).steps == ("A", "B")
 
     def test_display_name(self):
         assert Route(steps=("A", "B")).display_name == "A+B"
@@ -241,6 +257,24 @@ class TestCompareRoutes:
             compare_routes(
                 scen.initial_density(), scen.routes, scen.observables, scen.target
             )
+
+    @pytest.mark.parametrize(
+        "tol, message",
+        [
+            (float("nan"), "tolerance: must be positive, got nan"),
+            (-1, "tolerance: must be positive, got -1"),
+            (0, "tolerance: must be positive, got 0"),
+            (float("inf"), "tolerance: must be finite, got inf"),
+        ],
+    )
+    def test_refuses_a_tolerance_a_scenario_refuses(self, tol, message):
+        # Each would break the report's zero diagonal: nan and tol < 0 make a
+        # route DISTINCT from itself. The text is the scenario's violation.
+        scen = builtin("qutrit-paper")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            compare_routes(scen.initial_density(), scen.routes, scen.observables, scen.target, tol)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(scen, tolerance=tol)
 
     def test_needs_at_least_two_routes(self):
         with pytest.raises(ValueError):

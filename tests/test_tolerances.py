@@ -163,14 +163,14 @@ class TestChainedSpectrum:
         m = np.diag(np.arange(5) * 0.9e-8).astype(complex)
         message = (
             "eigenvalues merged into one group spread over 3.600e-08, "
-            "more than the grouping tolerance 1.000e-08"
+            "more than the merge tolerance 1.000e-10"
         )
         with pytest.raises(AmbiguousGroupingError, match=f"^{re.escape(message)}$"):
             spectral_decompose(m)
 
     def test_chain_band_scales_with_the_spectrum(self):
         m = np.diag([1e3, 1e3 + 9e-6, 1e3 + 1.8e-5, 0.0]).astype(complex)
-        message = "spread over 1.800e-05, more than the grouping tolerance 1.000e-05"
+        message = "spread over 1.800e-05, more than the merge tolerance 1.000e-07"
         with pytest.raises(AmbiguousGroupingError, match=message):
             spectral_decompose(m)
 
