@@ -94,12 +94,12 @@ class EigenGroup:
 class Observable:
     """A Hermitian operator plus its grouped eigensystem, derived from the matrix.
 
-    ``Observable(m, *, label="")`` decomposes ``m`` itself: ``groups`` is
-    never passed in. It holds one ``EigenGroup`` per distinct eigenvalue,
-    ordered by descending eigenvalue, whose stacked bases are the
-    orthonormal, complete eigenbasis ``hermitian_eigendecomposition``
-    returns. The updates read only projectors, so any orthonormal basis of
-    an eigenspace does as well.
+    ``Observable(m)`` decomposes ``m`` itself; ``groups`` is never passed
+    in, and the key a registry files it under is its only name. ``groups``
+    holds one ``EigenGroup`` per distinct eigenvalue, in descending order,
+    whose stacked bases are the orthonormal, complete eigenbasis
+    ``hermitian_eigendecomposition`` returns; any orthonormal basis of an
+    eigenspace does, since the updates read only projectors.
 
     The grouping band scales with the spectrum: ``band = GROUP_TOL ·
     max(1, max |λ|)``, so rescaling ``m`` rescales the band with it.
@@ -122,7 +122,6 @@ class Observable:
 
     matrix: np.ndarray
     groups: tuple[EigenGroup, ...] = field(init=False)
-    label: str = field(default="", kw_only=True)
 
     def __post_init__(self):
         m = as_matrix(self.matrix).copy()  # frozen below; the caller's array stays writable
@@ -163,9 +162,9 @@ class Observable:
         return tuple(g.eigenvalue for g in self.groups)
 
 
-def spectral_decompose(m, *, label: str = "") -> Observable:
-    """The ``Observable`` of a Hermitian matrix: ``Observable(m, label=label)``."""
-    return Observable(m, label=label)
+def spectral_decompose(m) -> Observable:
+    """The ``Observable`` of a Hermitian matrix: ``Observable(m)``."""
+    return Observable(m)
 
 
 def _eigenspace_basis(projector: np.ndarray, degeneracy: int) -> np.ndarray:
@@ -233,10 +232,12 @@ def von_neumann_update(rho: DensityMatrix, obs: Observable) -> DensityMatrix:
 
 
 def apply_rule(rho: DensityMatrix, obs: Observable, rule: ProjectionRule) -> DensityMatrix:
-    """Dispatch to the update implementing ``rule``."""
+    """Dispatch to the update implementing ``rule``; any other value raises TypeError."""
     if rule is ProjectionRule.LUDERS:
         return luders_update(rho, obs)
-    return von_neumann_update(rho, obs)
+    if rule is ProjectionRule.VON_NEUMANN:
+        return von_neumann_update(rho, obs)
+    raise TypeError(f"rule must be a ProjectionRule, got {reprlib.repr(rule)}")
 
 
 def selective_outcome(

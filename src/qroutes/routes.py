@@ -48,6 +48,10 @@ class Route:
         steps = self.steps if isinstance(self.steps, str) else tuple(self.steps)
         if isinstance(steps, str) or not all(isinstance(s, str) for s in steps):
             raise TypeError(f"route steps must be a sequence of labels, got {reprlib.repr(steps)}")
+        if not isinstance(self.rule, ProjectionRule):
+            raise TypeError(f"route rule must be a ProjectionRule, got {reprlib.repr(self.rule)}")
+        if not isinstance(self.name, str):
+            raise TypeError(f"route name must be a string, got {reprlib.repr(self.name)}")
         object.__setattr__(self, "steps", steps)
         if not self.steps:
             raise ValueError("a route needs at least one step")
@@ -107,11 +111,8 @@ def commutes(a: Observable, b: Observable) -> bool:
 def product_observable(a: Observable, b: Observable) -> Observable:
     """Observable for A·B; requires the factors to commute."""
     if not commutes(a, b):
-        raise NonCommutingError(
-            f"{a.label or 'left factor'} and {b.label or 'right factor'} do not commute"
-        )
-    label = f"{a.label}*{b.label}" if a.label and b.label else ""
-    return spectral_decompose(a.matrix @ b.matrix, label=label)
+        raise NonCommutingError("the factors do not commute")
+    return spectral_decompose(a.matrix @ b.matrix)
 
 
 def run_route(
@@ -127,15 +128,16 @@ def run_route(
 
 
 def _check_route_targets(
-    routes: list[Route], registry: Mapping[str, Observable], target_obs: Observable
+    routes: list[Route], registry: Mapping[str, Observable], target: str
 ) -> None:
     # A route plausibly measures the target if the target is its last step
     # or the matrix product of its steps, to within MATRIX_TOL scaled by
     # the target's entries. Anything else is the caller's
     # responsibility, so warn instead of refusing.
+    target_obs = registry[target]
     limit = scaled_tol(MATRIX_TOL, target_obs.matrix)
     for route in routes:
-        if route.steps[-1] == target_obs.label:
+        if route.steps[-1] == target:
             continue
         prod = np.eye(target_obs.dim, dtype=complex)
         for label in route.steps:
@@ -143,7 +145,7 @@ def _check_route_targets(
         if np.max(np.abs(prod - target_obs.matrix)) <= limit:
             continue
         warnings.warn(
-            f"route {route.display_name!r}: target {target_obs.label!r} is neither "
+            f"route {route.display_name!r}: target {target!r} is neither "
             "the last step nor the product of the steps",
             RouteTargetWarning,
             stacklevel=3,
@@ -166,7 +168,7 @@ def compare_routes(
         raise UnknownLabelError(f"target {target!r} is not a registered observable")
     target_obs = registry[target]
     finals = tuple(run_route(initial, route, registry) for route in routes)
-    _check_route_targets(list(routes), registry, target_obs)
+    _check_route_targets(list(routes), registry, target)
     n = len(finals)
     dist = np.zeros((n, n))
     maxdiff = np.zeros((n, n))

@@ -40,12 +40,12 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 class Scenario:
     """An immutable, fully validated route-comparison problem.
 
-    ``observables`` maps each label to its ``Observable``, read-only.
-    Construction decomposes each matrix filed there once, so an observable
-    whose spectrum cannot be grouped is a violation like any other. An
-    ``Observable`` filed under its own label is kept as it is; one filed
-    under another label is decomposed again under that label. So
-    ``dataclasses.replace`` overrides any field without decomposing again.
+    ``observables`` maps each label to its ``Observable``, read-only; the
+    label is the observable's only name. Construction decomposes each raw
+    matrix filed there once, so an observable whose spectrum cannot be
+    grouped is a violation like any other. An ``Observable`` is kept as it
+    is, under whatever label it is filed. So ``dataclasses.replace``
+    overrides any field without decomposing again.
     A vector ``initial_state`` is checked once, by ``DensityMatrix.pure``,
     and ``initial_density()`` returns that checked state to every run.
     """
@@ -75,6 +75,9 @@ class Scenario:
     def _violations(self, registry: dict) -> list[str]:
         # Decomposes the registry's matrices in place and keeps the initial density.
         out = []
+        if not isinstance(self.system_dim, int) or isinstance(self.system_dim, bool):
+            out.append(f"system_dim: expected int, got {type(self.system_dim).__name__}")
+            return out
         if self.system_dim < 1:
             out.append(f"system_dim: must be positive, got {reprlib.repr(self.system_dim)}")
             return out
@@ -102,8 +105,8 @@ class Scenario:
                 except NumericalError as exc:
                     out.append(f"initial_state.vector: {exc}")
         for label, m in registry.items():
-            kept = isinstance(m, Observable) and m.label == label  # decomposed already
-            a = m.matrix if isinstance(m, Observable) else np.asarray(m, dtype=complex)
+            kept = isinstance(m, Observable)  # decomposed already
+            a = m.matrix if kept else np.asarray(m, dtype=complex)
             if a.shape != (self.system_dim, self.system_dim):
                 out.append(
                     f"observables.{label}: shape {a.shape} != "
@@ -113,7 +116,7 @@ class Scenario:
                 out.append(f"observables.{label}: non-finite entry")
             elif not kept:
                 try:
-                    registry[label] = spectral_decompose(a, label=label)
+                    registry[label] = spectral_decompose(a)
                 except HermiticityError as exc:
                     out.append(f"observables.{label}: not Hermitian ({exc})")
                 except NumericalError as exc:

@@ -174,7 +174,7 @@ def test_criterion_6_pointer_registers_reproduce_the_system_picture():
             for name in ("O1", "O2"):
                 vals = rng.choice([-1.0, 0.0, 1.0, 2.0], size=dim)
                 m, _ = hermitian_with_spectrum(rng, vals)
-                pair[name] = spectral_decompose(m, label=name)
+                pair[name] = spectral_decompose(m)
             total = init_total(state)
             for name in ("O1", "O2"):
                 total = interact(total, pair[name])
@@ -256,8 +256,8 @@ def _suite_statistics_invariance(rng):
     u = random_unitary(rng, dim)
     s1 = rng.choice([-2.0, -1.0, 1.0, 2.0], size=dim)
     s2 = rng.choice([-2.0, -1.0, 1.0, 2.0], size=dim)
-    o1 = spectral_decompose(u @ np.diag(s1).astype(complex) @ u.conj().T, label="O1")
-    o2 = spectral_decompose(u @ np.diag(s2).astype(complex) @ u.conj().T, label="O2")
+    o1 = spectral_decompose(u @ np.diag(s1).astype(complex) @ u.conj().T)
+    o2 = spectral_decompose(u @ np.diag(s2).astype(complex) @ u.conj().T)
     target = product_observable(o1, o2)
     registry = {"O1": o1, "O2": o2, "T": target}
     rho = random_density(rng, dim)

@@ -103,10 +103,9 @@ def test_eigen_group_holds_an_eigenvalue_and_a_basis():
 
 
 def test_an_observable_is_built_from_its_matrix_alone():
-    assert tuple(f.name for f in dataclasses.fields(qroutes.Observable)) == ("matrix", "groups", "label")
-    params = inspect.signature(qroutes.Observable).parameters
-    assert tuple(params) == ("matrix", "label")
-    assert params["label"].kind is inspect.Parameter.KEYWORD_ONLY
+    assert tuple(f.name for f in dataclasses.fields(qroutes.Observable)) == ("matrix", "groups")
+    assert tuple(inspect.signature(qroutes.Observable).parameters) == ("matrix",)
+    assert tuple(inspect.signature(qroutes.spectral_decompose).parameters) == ("m",)
     m = np.diag([1.0, 0.0])
     with pytest.raises(TypeError):
         qroutes.Observable(m, qroutes.Observable(m).groups)

@@ -702,13 +702,15 @@ class TestOneDecompositionPerObservable:
 
     @pytest.fixture
     def calls(self, monkeypatch):
+        # each decomposed matrix is recorded as the built-in label it is filed under
+        names = {o.matrix.tobytes(): label for label, o in builtin("qutrit-paper").observables.items()}
         clear_builtins()
         made = []
         decompose = scenarios.spectral_decompose
 
-        def counted(m, *args, **kwargs):
-            made.append(kwargs["label"])
-            return decompose(m, *args, **kwargs)
+        def counted(m):
+            made.append(names[np.asarray(m, dtype=complex).tobytes()])
+            return decompose(m)
 
         monkeypatch.setattr(scenarios, "spectral_decompose", counted)
         return made
@@ -844,11 +846,32 @@ class TestSharedBuiltinsKeepNoState:
             assert output(argv) == cold[tuple(argv)], argv
 
 
-def _readme_scenario() -> str:
+def _readme_blocks(language: str) -> list[str]:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    blocks = re.findall(r"^```json\n(.*?)^```$", readme, flags=re.S | re.M)
+    return re.findall(rf"^```{language}\n(.*?)^```$", readme, flags=re.S | re.M)
+
+
+def _readme_scenario() -> str:
+    blocks = _readme_blocks("json")
     assert len(blocks) == 1, "README.md should hold exactly one json block"
     return blocks[0]
+
+
+@pytest.mark.parametrize(
+    "block", [pytest.param(b, id=f"block{i}") for i, b in enumerate(_readme_blocks("python"))]
+)
+def test_readme_python_block_prints_its_comments(capsys, block):
+    # Each print(...) line ends in "# value"; a numeric value is held to 1e-12.
+    expected = re.findall(r"^print\(.*\)\s+# (.+)$", block, flags=re.M)
+    assert expected, "each python block of README.md should print a commented value"
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == len(expected)
+    for line, value in zip(printed, expected):
+        try:
+            assert float(line) == pytest.approx(float(value), abs=1e-12)
+        except ValueError:
+            assert line == value
 
 
 class TestReadmeScenario:

@@ -210,7 +210,7 @@ def _rotated_qutrit_file(path, k):
 def test_rotated_qutrit_verdicts_do_not_depend_on_scale(capsys, tmp_path, k):
     _rotated_qutrit_file(tmp_path / "unscaled.json", 0)
     a, b = _rotated_qutrit_file(tmp_path / "scaled.json", k)
-    assert product_observable(spectral_decompose(a, label="A"), spectral_decompose(b, label="B")).dim == 3
+    assert product_observable(spectral_decompose(a), spectral_decompose(b)).dim == 3
     assert run_cli(capsys, "validate", str(tmp_path / "scaled.json")) == (0, "OK\n", "")
     for rule in ("luders", "von-neumann"):
         reports = []

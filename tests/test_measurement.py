@@ -66,12 +66,11 @@ def rotated_inside_eigenspaces(rng):
 
 class TestSpectralDecompose:
     def test_degenerate_projector_split(self):
-        obs = spectral_decompose(A, label="A")
+        obs = spectral_decompose(A)
         assert obs.eigenvalues == pytest.approx([1.0, 0.0], abs=1e-12)
         assert [g.degeneracy for g in obs.groups] == [2, 1]
         assert np.allclose(obs.groups[0].projector, np.diag([1, 1, 0]), atol=1e-12)
         assert np.allclose(obs.groups[1].projector, np.diag([0, 0, 1]), atol=1e-12)
-        assert obs.label == "A"
 
     def test_rank_one_top_group(self):
         obs = spectral_decompose(C)
@@ -449,6 +448,12 @@ class TestApplyRule:
             apply_rule(rho, obs, ProjectionRule.VON_NEUMANN).mat,
             von_neumann_update(rho, obs).mat,
         )
+
+    @pytest.mark.parametrize("rule", ["luders", "nonsense", None])
+    def test_refuses_anything_but_a_rule(self, rule):
+        # Accepted, a string would fall through to the von Neumann update.
+        with pytest.raises(TypeError, match="^rule must be a ProjectionRule, got "):
+            apply_rule(eta_density(), spectral_decompose(A), rule)
 
     def test_rule_parsing(self):
         assert ProjectionRule.from_name("luders") is ProjectionRule.LUDERS

@@ -30,9 +30,9 @@ from qroutes import (
 )
 from qroutes.linalg import MAX_DIM
 
-A = spectral_decompose(np.diag([1, 1, 0]).astype(complex), label="A")
-B = spectral_decompose(np.diag([0, 1, 1]).astype(complex), label="B")
-C = spectral_decompose(np.diag([0, 1, 0]).astype(complex), label="C")
+A = spectral_decompose(np.diag([1, 1, 0]).astype(complex))
+B = spectral_decompose(np.diag([0, 1, 1]).astype(complex))
+C = spectral_decompose(np.diag([0, 1, 0]).astype(complex))
 REGISTRY = {"A": A, "B": B, "C": C}
 
 ETA = np.array([0.6, 0.48j, -0.64], dtype=complex)
@@ -193,7 +193,7 @@ class TestReducedState:
             for name in ("O1", "O2"):
                 vals = rng.choice([-1.0, 0.0, 1.0, 2.0], size=dim)
                 m, _ = hermitian_with_spectrum(rng, vals)
-                registry[name] = spectral_decompose(m, label=name)
+                registry[name] = spectral_decompose(m)
             total = init_total(eta)
             for name in ("O1", "O2"):
                 total = interact(total, registry[name])
@@ -222,7 +222,7 @@ class TestReducedState:
         basis = random_unitary(rng, 4)
         spectra = {"ZI": [1, 1, -1, -1], "IZ": [1, -1, 1, -1], "ZZ": [1, -1, -1, 1]}
         registry = {
-            k: spectral_decompose((basis * np.array(v, float)) @ basis.conj().T, label=k)
+            k: spectral_decompose((basis * np.array(v, float)) @ basis.conj().T)
             for k, v in spectra.items()
         }
         total = init_total(random_state(rng, 4))

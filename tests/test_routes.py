@@ -35,9 +35,9 @@ SQ3 = np.sqrt(3.0)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
-A = spectral_decompose(np.diag([1, 1, 0]).astype(complex), label="A")
-B = spectral_decompose(np.diag([0, 1, 1]).astype(complex), label="B")
-C = spectral_decompose(np.diag([0, 1, 0]).astype(complex), label="C")
+A = spectral_decompose(np.diag([1, 1, 0]).astype(complex))
+B = spectral_decompose(np.diag([0, 1, 1]).astype(complex))
+C = spectral_decompose(np.diag([0, 1, 0]).astype(complex))
 REGISTRY = {"A": A, "B": B, "C": C}
 
 ETA = np.array([0.6, 0.48j, -0.64], dtype=complex)
@@ -73,7 +73,6 @@ class TestProductObservable:
     def test_product_of_degenerate_projectors(self):
         prod = product_observable(A, B)
         assert np.allclose(prod.matrix, C.matrix, atol=1e-12)
-        assert prod.label == "A*B"
         assert prod.eigenvalues == pytest.approx([1.0, 0.0], abs=1e-10)
 
     def test_pauli_tensor_product(self):
@@ -125,6 +124,22 @@ class TestRunRoute:
         message = f"route steps must be a sequence of labels, got {shown}"
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             Route(steps)
+
+    @pytest.mark.parametrize("rule", ["luders", "von-neumann", None])
+    def test_route_refuses_a_rule_that_is_not_a_projection_rule(self, rule):
+        # Accepted, Route(steps, "luders") would run the von Neumann update.
+        message = f"route rule must be a ProjectionRule, got {rule!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            Route(("A",), rule)
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(Route(("A",)), rule=rule)
+
+    @pytest.mark.parametrize("name", [5, None, b"AB"])
+    def test_route_refuses_a_name_that_is_not_a_string(self, name):
+        # A scenario file refuses the same name as "routes[i].name: expected a string".
+        message = f"route name must be a string, got {name!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            Route(("A",), name=name)
 
     def test_route_takes_any_iterable_of_labels(self):
         assert Route(label for label in ("A", "B")).steps == ("A", "B")
@@ -226,8 +241,8 @@ class TestCompareRoutes:
             u = random_unitary(rng, dim)
             spec1 = np.arange(1, dim + 1, dtype=float)
             spec2 = np.array([(-1.0) ** k * (k + 2) for k in range(dim)])
-            o1 = spectral_decompose(u @ np.diag(spec1).astype(complex) @ u.conj().T, label="O1")
-            o2 = spectral_decompose(u @ np.diag(spec2).astype(complex) @ u.conj().T, label="O2")
+            o1 = spectral_decompose(u @ np.diag(spec1).astype(complex) @ u.conj().T)
+            o2 = spectral_decompose(u @ np.diag(spec2).astype(complex) @ u.conj().T)
             prod = product_observable(o1, o2)
             if len(prod.groups) < dim:
                 continue  # products with clashing eigenvalues are not informative here
@@ -245,8 +260,20 @@ class TestCompareRoutes:
     def test_target_unrelated_to_route_warns(self):
         rho = DensityMatrix.pure(ETA)
         routes = (Route(steps=("A",)), Route(steps=("B",)))
-        with pytest.warns(RouteTargetWarning):
+        # one warning per route, each naming the target by its registry key
+        message = r"^route '[AB]': target 'C' is neither the last step nor the product of the steps$"
+        with pytest.warns(RouteTargetWarning, match=message) as record:
             compare_routes(rho, routes, REGISTRY, "C")
+        assert len(record) == 2
+
+    def test_route_ending_in_the_target_key_does_not_warn(self):
+        # B·A is not A, so only the last step, read by its key, makes B+A a route to A.
+        import warnings
+
+        routes = (Route(("A",)), Route(("B", "A")))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RouteTargetWarning)
+            compare_routes(DensityMatrix.pure(ETA), routes, REGISTRY, "A")
 
     def test_builtin_routes_do_not_warn(self):
         import warnings

@@ -208,7 +208,7 @@ class TestScenarioMethods:
     def test_registry_carries_labels(self):
         reg = builtin("qutrit-paper").observables
         assert set(reg) == {"A", "B", "C"}
-        assert reg["A"].label == "A"
+        assert np.array_equal(reg["A"].matrix, np.diag([1.0, 1.0, 0.0]))
 
     def test_initial_density_from_vector(self):
         s = builtin("qutrit-paper")
@@ -259,14 +259,12 @@ class TestScenarioMethods:
         with pytest.raises(TypeError):
             del s.observables["A"]
 
-    def test_observable_under_another_label_is_decomposed_under_it(self):
+    def test_observable_under_another_label_is_kept_as_given(self, monkeypatch):
         s = builtin("qutrit-paper")
         r = s.observables
+        monkeypatch.setattr(scenarios, "spectral_decompose", None)  # any call fails
         t = Scenario(s.name, 3, s.initial_state, dict(r, A=r["B"]), s.routes, s.target)
-        relabelled = t.observables["A"]
-        assert relabelled is not r["B"] and relabelled.label == "A"
-        assert np.array_equal(relabelled.matrix, r["B"].matrix)
-        assert [g.eigenvalue for g in relabelled.groups] == [g.eigenvalue for g in r["B"].groups]
+        assert t.observables["A"] is r["B"]
         assert t.observables["B"] is r["B"]
 
     def test_dimension_past_the_cap_is_refused_before_any_decomposition(self, monkeypatch):
@@ -276,6 +274,20 @@ class TestScenarioMethods:
         with pytest.raises(ValidationError) as info:
             Scenario(s.name, 1100, s.initial_state, matrices, s.routes, s.target)
         assert info.value.violations == ["system_dim: 1100 exceeds the 1024 limit"]
+
+    @pytest.mark.parametrize("dim, kind", [(True, "bool"), (3.0, "float"), ("3", "str")])
+    def test_system_dim_that_is_not_an_int_is_refused_as_the_parser_refuses_it(self, dim, kind):
+        # Accepted, it would be serialized to a file that parse_scenario refuses.
+        s = builtin("qutrit-paper")
+        message = f"system_dim: expected int, got {kind}"
+        with pytest.raises(ValidationError) as info:
+            dataclasses.replace(s, system_dim=dim)
+        assert info.value.violations == [message]
+        doc = json.loads(serialize_scenario(s))
+        doc["system_dim"] = dim
+        with pytest.raises(ValidationError) as info:
+            parse_scenario(json.dumps(doc))
+        assert info.value.violations == [message]
 
     def test_shape(self):
         assert [f.name for f in dataclasses.fields(Scenario) if f.init] == [
