@@ -2,8 +2,10 @@
 
 Human output is fixed to six decimals; the machine format (--format json)
 is full precision and byte-stable for identical inputs, so it can be
-diffed across runs. It names its input by digest: the scenario's fields
-as in its file, except that each observable is its matrix's SHA-256.
+diffed across runs. It states each input once, in its ``scenario`` node,
+after --rule, --state and --tol are applied: the fields of the scenario
+file, each route's rule among them, except that each observable is its
+matrix's SHA-256.
 """
 
 from __future__ import annotations
@@ -37,13 +39,11 @@ def render_text(report: RunReport) -> str:
     cmp = report.comparison
     lines = [
         f"scenario: {s.name}",
-        f"rule: {s.rule.value}   tolerance: {s.tolerance:g}   target: {s.target}",
+        f"tolerance: {s.tolerance:g}   target: {s.target}",
         "",
     ]
-    for name, state, stats in zip(
-        cmp.route_names, cmp.final_states, cmp.final_observable_statistics
-    ):
-        lines.append(f"route {name}: final state")
+    for route, state, stats in zip(s.routes, cmp.final_states, cmp.final_observable_statistics):
+        lines.append(f"route {route.display_name} ({route.rule.value}): final state")
         lines.append(_format_matrix(state.mat))
         rendered = ", ".join(
             f"P({label}) = {p:.6f}"
@@ -57,8 +57,7 @@ def render_text(report: RunReport) -> str:
         for j in range(i + 1, n):
             lines.append(
                 f"  {cmp.route_names[i]} vs {cmp.route_names[j]}: "
-                f"trace distance = {cmp.pairwise_trace_distance[i, j]:.6f}, "
-                f"max |diff| = {cmp.pairwise_max_abs_diff[i, j]:.6f}"
+                f"trace distance = {cmp.pairwise_trace_distance[i, j]:.6f}"
                 f"  -> {cmp.verdicts[i][j].value}"
             )
     if report.probe_results is not None:
@@ -83,11 +82,8 @@ def render_machine(report: RunReport) -> str:
     s = report.scenario
     cmp = report.comparison
     payload = {
-        "format": 2,
+        "format": 3,
         "scenario": scenario_document(s, observable_digest),
-        "rule": s.rule.value,
-        "tolerance": cmp.tolerance,
-        "target": cmp.target_label,
         "target_eigenvalues": list(cmp.target_eigenvalues),
         "target_outcome_labels": list(report.target_outcome_labels),
         "routes": [
@@ -103,7 +99,6 @@ def render_machine(report: RunReport) -> str:
         "comparison": {
             "route_names": list(cmp.route_names),
             "pairwise_trace_distance": cmp.pairwise_trace_distance,
-            "pairwise_max_abs_diff": cmp.pairwise_max_abs_diff,
             "verdicts": [[v.value for v in row] for row in cmp.verdicts],
         },
         "probe": None

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import reprlib
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Mapping
@@ -74,7 +75,6 @@ class ComparisonReport:
     route_names: tuple[str, ...]
     final_states: tuple[DensityMatrix, ...]
     pairwise_trace_distance: np.ndarray
-    pairwise_max_abs_diff: np.ndarray
     verdicts: tuple[tuple[Verdict, ...], ...]
     final_observable_statistics: tuple[tuple[float, ...], ...]
     target_label: str
@@ -90,7 +90,14 @@ class ComparisonReport:
 
 
 def _tolerance_problem(tol: float) -> str:
-    """Why ``tol`` cannot be an EQUAL threshold on trace distance; "" if it can."""
+    """Why ``tol`` cannot be an EQUAL threshold on trace distance; "" if it can.
+
+    Its type must be one a scenario file can hold, so the words are the
+    parser's: an int or a float, not a bool, within the float range."""
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)):
+        return f"tolerance: expected number, got {type(tol).__name__}"
+    if isinstance(tol, int) and abs(tol) > sys.float_info.max:
+        return "tolerance: number out of float range"
     if not tol > 0:
         return f"tolerance: must be positive, got {tol}"
     return "" if np.isfinite(tol) else f"tolerance: must be finite, got {tol}"
@@ -171,13 +178,9 @@ def compare_routes(
     _check_route_targets(list(routes), registry, target)
     n = len(finals)
     dist = np.zeros((n, n))
-    maxdiff = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
             dist[i, j] = dist[j, i] = trace_distance(finals[i], finals[j])
-            maxdiff[i, j] = maxdiff[j, i] = float(
-                np.max(np.abs(finals[i].mat - finals[j].mat))
-            )
     verdicts = tuple(
         tuple(
             Verdict.EQUAL if dist[i, j] <= tol else Verdict.DISTINCT for j in range(n)
@@ -195,7 +198,6 @@ def compare_routes(
         route_names=tuple(route.display_name for route in routes),
         final_states=finals,
         pairwise_trace_distance=dist,
-        pairwise_max_abs_diff=maxdiff,
         verdicts=verdicts,
         final_observable_statistics=stats,
         target_label=target,

@@ -56,7 +56,6 @@ class Scenario:
     observables: Mapping[str, Observable]
     routes: tuple[Route, ...]
     target: str
-    rule: ProjectionRule = ProjectionRule.LUDERS
     tolerance: float = DISTANCE_TOL
     _initial_density: DensityMatrix = field(init=False, repr=False)
 
@@ -75,6 +74,8 @@ class Scenario:
     def _violations(self, registry: dict) -> list[str]:
         # Decomposes the registry's matrices in place and keeps the initial density.
         out = []
+        if not isinstance(self.name, str):
+            out.append(f"name: expected str, got {type(self.name).__name__}")
         if not isinstance(self.system_dim, int) or isinstance(self.system_dim, bool):
             out.append(f"system_dim: expected int, got {type(self.system_dim).__name__}")
             return out
@@ -138,8 +139,9 @@ class Scenario:
         return self._initial_density
 
     def with_rule(self, rule: ProjectionRule) -> "Scenario":
+        """This scenario with every route's rule replaced by ``rule``."""
         routes = tuple(dataclasses.replace(r, rule=rule) for r in self.routes)
-        return dataclasses.replace(self, rule=rule, routes=routes)
+        return dataclasses.replace(self, routes=routes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,7 +196,7 @@ def run_scenario(scenario: Scenario, probe: bool = False) -> RunReport:
 
 def _probe_cross_check(scenario, registry, initial, comparison) -> tuple[dict, ...]:
     # The register model realizes the Lueders semantics, so each route is
-    # checked against its Lueders evaluation whatever rule the report uses;
+    # checked against its Lueders evaluation whatever rule the route runs under;
     # a Lueders route's final state from the comparison is that evaluation.
     # run_scenario has already refused a density-matrix initial state.
     results = []
@@ -466,8 +468,11 @@ def write_json(doc) -> str:
     return template % tuple(map(words.__getitem__, signed.tolist()))
 
 
-# The keys scenario_document writes, and the only ones parse_scenario accepts.
-_FIELDS = ("name", "system_dim", "initial_state", "observables", "routes", "target", "rule", "tolerance")
+# _WRITTEN_FIELDS are the keys scenario_document writes. _ACCEPTED_FIELDS,
+# the only ones parse_scenario accepts, add "rule": the rule of every route
+# that names none.
+_WRITTEN_FIELDS = ("name", "system_dim", "initial_state", "observables", "routes", "target", "tolerance")
+_ACCEPTED_FIELDS = _WRITTEN_FIELDS + ("rule",)
 _ROUTE_FIELDS = ("name", "steps", "rule")
 
 
@@ -483,8 +488,8 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 def parse_scenario(text: str) -> Scenario:
     """Build a Scenario from its file form, or fail with field context.
 
-    A key that ``scenario_document`` does not write is an unknown field;
-    a key written twice in one object is refused."""
+    A key outside ``_ACCEPTED_FIELDS`` is an unknown field; a key written
+    twice in one object is refused."""
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError:
@@ -496,7 +501,7 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
 
-    problems = [f"{key}: unknown field" for key in doc if key not in _FIELDS]
+    problems = [f"{key}: unknown field" for key in doc if key not in _ACCEPTED_FIELDS]
 
     def fetch(key, kind, required=True, default=None):
         if key not in doc:
@@ -521,7 +526,7 @@ def parse_scenario(text: str) -> Scenario:
         problems.append("tolerance: number out of float range")
         tolerance = DISTANCE_TOL
 
-    rule = ProjectionRule.LUDERS
+    rule = ProjectionRule.LUDERS  # of every route that names none
     try:
         rule = ProjectionRule.from_name(rule_name)
     except ValueError as exc:
@@ -594,7 +599,6 @@ def parse_scenario(text: str) -> Scenario:
         observables=observables,
         routes=tuple(routes),
         target=target,
-        rule=rule,
         tolerance=tolerance,
     )
 
@@ -628,7 +632,6 @@ def scenario_document(s: Scenario, observable_node=_observable_matrix) -> dict:
             for r in s.routes
         ],
         "target": s.target,
-        "rule": s.rule.value,
         "tolerance": s.tolerance,
     }
 

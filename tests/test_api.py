@@ -111,6 +111,25 @@ def test_an_observable_is_built_from_its_matrix_alone():
         qroutes.Observable(m, qroutes.Observable(m).groups)
 
 
+def test_a_comparison_keeps_one_distance_per_pair():
+    assert tuple(f.name for f in dataclasses.fields(qroutes.ComparisonReport)) == (
+        "route_names",
+        "final_states",
+        "pairwise_trace_distance",
+        "verdicts",
+        "final_observable_statistics",
+        "target_label",
+        "target_eigenvalues",
+        "tolerance",
+    )
+
+
+def test_a_rule_lives_only_on_its_route():
+    assert tuple(f.name for f in dataclasses.fields(qroutes.Scenario) if f.init) == (
+        "name", "system_dim", "initial_state", "observables", "routes", "target", "tolerance"
+    )
+
+
 def test_eigendecomposition_returns_arrays():
     vals, vecs = qroutes.hermitian_eigendecomposition(np.diag([1.0, 2.0, 3.0]))
     assert isinstance(vals, np.ndarray) and vals.shape == (3,)

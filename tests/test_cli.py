@@ -20,7 +20,7 @@ AMP = "0.7071067811865476,0,0.7071067811865476"
 
 
 def sha256_of(m) -> str:
-    """The digest a format-2 report gives an observable matrix."""
+    """The digest a JSON run report gives an observable matrix."""
     return hashlib.sha256(np.asarray(m, "<c16").tobytes()).hexdigest()
 
 
@@ -99,7 +99,7 @@ class TestRunJson:
         assert code == 0
         doc = json.loads(out)
         assert doc["scenario"]["name"] == "qutrit-paper"
-        assert doc["target"] == "C"
+        assert doc["scenario"]["target"] == "C"
         assert doc["target_eigenvalues"] == [1.0, 0.0]
         assert doc["target_outcome_labels"] == ["1", "0"]
         assert [r["name"] for r in doc["routes"]] == ["C", "AB", "BA"]
@@ -157,18 +157,58 @@ class TestRunJson:
         doc = json.loads(target.read_text())
         assert doc["scenario"]["name"] == "qutrit-paper"
 
-    def test_format_2_names_each_observable_by_its_digest(self, capsys, tmp_path):
+    def test_format_3_names_each_observable_by_its_digest(self, capsys, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text(serialize_scenario(degenerate_scenario(3)))
         code, out, _ = run_cli(capsys, "run", str(path), "--format", "json")
         assert code == 0
         doc = json.loads(out)
         assert next(iter(doc)) == "format"
-        assert doc["format"] == 2
+        assert doc["format"] == 3
         observables = parse_scenario(path.read_text()).observables
         assert doc["scenario"]["observables"] == {
             label: {"sha256": sha256_of(o.matrix)} for label, o in observables.items()
         }
+
+
+class TestEachRouteNamesItsRule:
+    # A file's top-level rule is only the default of the routes that name
+    # none. Here every route names von-neumann, so no report may say luders.
+    @pytest.fixture
+    def path(self, tmp_path):
+        doc = json.loads(serialize_scenario(builtin("qutrit-paper")))
+        for route in doc["routes"]:
+            route["rule"] = "von-neumann"
+        doc["rule"] = "luders"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_text_report(self, capsys, path):
+        code, out, err = run_cli(capsys, "run", path)
+        assert (code, err) == (0, "")
+        assert "luders" not in out
+        assert "route AB (von-neumann): final state" in out.splitlines()
+        assert out.count("-> EQUAL") == 3
+
+    def test_json_report(self, capsys, path):
+        code, out, err = run_cli(capsys, "run", path, "--format", "json")
+        assert (code, err) == (0, "")
+        assert "luders" not in out
+        doc = json.loads(out)
+        assert "rule" not in doc
+        assert [r["rule"] for r in doc["scenario"]["routes"]] == ["von-neumann"] * 3
+
+    def test_report_format_3_states_each_input_once(self, capsys, path):
+        code, out, _ = run_cli(capsys, "run", path, "--format", "json", "--rule", "luders", "--tol", "0.5")
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc) == [
+            "format", "scenario", "target_eigenvalues", "target_outcome_labels", "routes", "comparison", "probe"
+        ]
+        assert list(doc["comparison"]) == ["route_names", "pairwise_trace_distance", "verdicts"]
+        assert [r["rule"] for r in doc["scenario"]["routes"]] == ["luders"] * 3
+        assert doc["scenario"]["tolerance"] == 0.5
 
 
 def _legacy_render_machine(report) -> str:

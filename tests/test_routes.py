@@ -292,6 +292,11 @@ class TestCompareRoutes:
             (-1, "tolerance: must be positive, got -1"),
             (0, "tolerance: must be positive, got 0"),
             (float("inf"), "tolerance: must be finite, got inf"),
+            ("x", "tolerance: expected number, got str"),
+            (True, "tolerance: expected number, got bool"),
+            (None, "tolerance: expected number, got NoneType"),
+            (np.float32(0.5), "tolerance: expected number, got float32"),
+            pytest.param(10**400, "tolerance: number out of float range", id="int-past-float-range"),
         ],
     )
     def test_refuses_a_tolerance_a_scenario_refuses(self, tol, message):

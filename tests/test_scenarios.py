@@ -198,7 +198,7 @@ class TestTwoQubitBuiltin:
 class TestScenarioMethods:
     def test_with_rule_rewrites_routes(self):
         s = builtin("qutrit-paper").with_rule(ProjectionRule.VON_NEUMANN)
-        assert s.rule is ProjectionRule.VON_NEUMANN
+        assert not hasattr(s, "rule")
         assert all(r.rule is ProjectionRule.VON_NEUMANN for r in s.routes)
 
     def test_with_tolerance(self):
@@ -291,7 +291,7 @@ class TestScenarioMethods:
 
     def test_shape(self):
         assert [f.name for f in dataclasses.fields(Scenario) if f.init] == [
-            "name", "system_dim", "initial_state", "observables", "routes", "target", "rule", "tolerance"
+            "name", "system_dim", "initial_state", "observables", "routes", "target", "tolerance"
         ]
         assert [f.name for f in dataclasses.fields(Scenario) if not f.init] == ["_initial_density"]
         assert not any(hasattr(Scenario, m) for m in ("observable_registry", "with_state", "with_tolerance"))
@@ -299,7 +299,8 @@ class TestScenarioMethods:
 
 def test_known_fields_are_the_written_keys():
     doc = scenarios.scenario_document(builtin("qutrit-paper"))
-    assert tuple(doc) == scenarios._FIELDS
+    assert tuple(doc) == scenarios._WRITTEN_FIELDS
+    assert scenarios._ACCEPTED_FIELDS == scenarios._WRITTEN_FIELDS + ("rule",)
     assert all(tuple(route) == scenarios._ROUTE_FIELDS for route in doc["routes"])
 
 
@@ -314,7 +315,6 @@ class TestRoundTrip:
         assert second.name == first.name
         assert second.system_dim == first.system_dim
         assert second.target == first.target
-        assert second.rule is first.rule
         assert second.tolerance == first.tolerance
         assert np.array_equal(second.initial_state, first.initial_state)
         assert set(second.observables) == set(first.observables)
@@ -351,6 +351,60 @@ class TestRoundTrip:
                 assert np.array_equal(back.observables[label].matrix, s.observables[label].matrix)
             assert back.tolerance == s.tolerance
             assert [r.rule for r in back.routes] == [r.rule for r in s.routes]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("name", ""),
+            ("name", 'é "%s" \\n'),
+            ("tolerance", 1),
+            ("tolerance", 0.25),
+            ("tolerance", 5e-324),
+            ("tolerance", 1.7976931348623157e308),
+            ("tolerance", np.float64(1e-3)),
+        ],
+    )
+    def test_accepted_name_and_tolerance_parse_back_equal(self, field, value):
+        s = dataclasses.replace(builtin("qutrit-paper"), **{field: value})
+        assert getattr(parse_scenario(serialize_scenario(s)), field) == value
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("name", 5, "name: expected str, got int"),
+            ("name", None, "name: expected str, got NoneType"),
+            ("name", ["qutrit"], "name: expected str, got list"),
+            ("tolerance", True, "tolerance: expected number, got bool"),
+            ("tolerance", "x", "tolerance: expected number, got str"),
+            ("tolerance", None, "tolerance: expected number, got NoneType"),
+            pytest.param("tolerance", 10**400, "tolerance: number out of float range", id="int-past-float-range"),
+        ],
+    )
+    def test_refused_name_and_tolerance_give_the_parsers_line(self, field, value, message):
+        # Accepted, each would be serialized to a file that parse_scenario refuses.
+        s = builtin("qutrit-paper")
+        with pytest.raises(ValidationError) as info:
+            dataclasses.replace(s, **{field: value})
+        assert info.value.violations == [message]
+        doc = json.loads(serialize_scenario(s))
+        doc[field] = value
+        with pytest.raises(ValidationError) as info:
+            parse_scenario(json.dumps(doc))
+        assert info.value.violations == [message]
+
+    def test_top_level_rule_is_the_default_of_routes_that_name_none(self):
+        doc = json.loads(serialize_scenario(builtin("qutrit-paper")))
+        del doc["routes"][0]["rule"], doc["routes"][1]["rule"]
+        doc["routes"][2]["rule"] = "luders"
+        doc["rule"] = "von-neumann"
+        s = parse_scenario(json.dumps(doc))
+        rules = [ProjectionRule.VON_NEUMANN, ProjectionRule.VON_NEUMANN, ProjectionRule.LUDERS]
+        assert [r.rule for r in s.routes] == rules
+        text = serialize_scenario(s)
+        written = json.loads(text)
+        assert "rule" not in written
+        assert [r["rule"] for r in written["routes"]] == ["von-neumann", "von-neumann", "luders"]
+        assert [r.rule for r in parse_scenario(text).routes] == rules
 
     def test_density_matrix_state_round_trip(self):
         rng = np.random.default_rng(112)
