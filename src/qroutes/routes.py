@@ -13,7 +13,7 @@ import reprlib
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -46,8 +46,10 @@ class Route:
     name: str = ""
 
     def __post_init__(self):
-        steps = self.steps if isinstance(self.steps, str) else tuple(self.steps)
-        if isinstance(steps, str) or not all(isinstance(s, str) for s in steps):
+        steps = self.steps
+        if isinstance(steps, Iterable) and not isinstance(steps, str):
+            steps = tuple(steps)
+        if not isinstance(steps, tuple) or not all(isinstance(s, str) for s in steps):
             raise TypeError(f"route steps must be a sequence of labels, got {reprlib.repr(steps)}")
         if not isinstance(self.rule, ProjectionRule):
             raise TypeError(f"route rule must be a ProjectionRule, got {reprlib.repr(self.rule)}")
@@ -92,8 +94,8 @@ class ComparisonReport:
 def _tolerance_problem(tol: float) -> str:
     """Why ``tol`` cannot be an EQUAL threshold on trace distance; "" if it can.
 
-    Its type must be one a scenario file can hold, so the words are the
-    parser's: an int or a float, not a bool, within the float range."""
+    Its type must be one a scenario file can hold: an int or a float, not a
+    bool, within the float range."""
     if isinstance(tol, bool) or not isinstance(tol, (int, float)):
         return f"tolerance: expected number, got {type(tol).__name__}"
     if isinstance(tol, int) and abs(tol) > sys.float_info.max:

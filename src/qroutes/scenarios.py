@@ -11,6 +11,7 @@ would, so floats round-trip exactly.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -40,14 +41,14 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 class Scenario:
     """An immutable, fully validated route-comparison problem.
 
-    ``observables`` maps each label to its ``Observable``, read-only; the
-    label is the observable's only name. Construction decomposes each raw
-    matrix filed there once, so an observable whose spectrum cannot be
-    grouped is a violation like any other. An ``Observable`` is kept as it
-    is, under whatever label it is filed. So ``dataclasses.replace``
-    overrides any field without decomposing again.
-    A vector ``initial_state`` is checked once, by ``DensityMatrix.pure``,
-    and ``initial_density()`` returns that checked state to every run.
+    Construction is the one judge of a scenario's values, a parsed file's
+    too, and names every problem in one ``ValidationError``. ``observables``
+    maps each label, the observable's only name, to its ``Observable``,
+    read-only: each raw matrix filed there is decomposed once, and an
+    ``Observable`` is kept as it is, so ``dataclasses.replace`` overrides any
+    field without decomposing again. A vector ``initial_state`` is checked
+    once, by ``DensityMatrix.pure``, and ``initial_density()`` returns that
+    checked state to every run. A tolerance is kept as a ``float``.
     """
 
     name: str
@@ -70,12 +71,28 @@ class Scenario:
         if problems:
             raise ValidationError(problems)
         object.__setattr__(self, "observables", MappingProxyType(registry))
+        object.__setattr__(self, "tolerance", float(self.tolerance))
 
     def _violations(self, registry: dict) -> list[str]:
         # Decomposes the registry's matrices in place and keeps the initial density.
+        # The checks that need a valid system_dim come last.
         out = []
-        if not isinstance(self.name, str):
-            out.append(f"name: expected str, got {type(self.name).__name__}")
+        for key in ("name", "target"):
+            if not isinstance(getattr(self, key), str):
+                out.append(f"{key}: expected str, got {type(getattr(self, key)).__name__}")
+        for label in registry:
+            if not isinstance(label, str):
+                out.append(f"observables: expected str labels, got {reprlib.repr(label)}")
+        if len(self.routes) < 2:
+            out.append("routes: at least two routes required")
+        for i, route in enumerate(self.routes):
+            for step in route.steps:
+                if step not in registry:
+                    out.append(f"routes[{i}]: unresolved label {step!r}")
+        if isinstance(self.target, str) and self.target not in registry:
+            out.append(f"target: unresolved label {self.target!r}")
+        if problem := _tolerance_problem(self.tolerance):
+            out.append(problem)
         if not isinstance(self.system_dim, int) or isinstance(self.system_dim, bool):
             out.append(f"system_dim: expected int, got {type(self.system_dim).__name__}")
             return out
@@ -122,16 +139,6 @@ class Scenario:
                     out.append(f"observables.{label}: not Hermitian ({exc})")
                 except NumericalError as exc:
                     out.append(f"observables.{label}: {exc}")
-        if len(self.routes) < 2:
-            out.append("routes: at least two routes required")
-        for i, route in enumerate(self.routes):
-            for step in route.steps:
-                if step not in registry:
-                    out.append(f"routes[{i}]: unresolved label {step!r}")
-        if self.target not in registry:
-            out.append(f"target: unresolved label {self.target!r}")
-        if problem := _tolerance_problem(self.tolerance):
-            out.append(problem)
         return out
 
     def initial_density(self) -> DensityMatrix:
@@ -335,7 +342,7 @@ def builtin(name: str, *, state=None) -> Scenario:
     return scenario
 
 
-def _decode_complex(node, path: str, problems: list[str]) -> complex:
+def _decode_complex(node, path: str, problems: list[str]) -> complex | None:
     if (
         isinstance(node, list)
         and len(node) == 2
@@ -345,9 +352,9 @@ def _decode_complex(node, path: str, problems: list[str]) -> complex:
             return complex(node[0], node[1])
         except OverflowError:
             problems.append(f"{path}: number out of float range")
-            return 0j
+            return None
     problems.append(f"{path}: expected a [re, im] number pair, got {reprlib.repr(node)}")
-    return 0j
+    return None
 
 
 def _complex_array(node: list, rank: int) -> np.ndarray | None:
@@ -371,30 +378,34 @@ def _complex_array(node: list, rank: int) -> np.ndarray | None:
     return a.astype(float).view(complex)[..., 0]
 
 
-def _decode_vector(node, path: str, problems: list[str]) -> np.ndarray:
+def _decode_vector(node, path: str, problems: list[str]) -> np.ndarray | None:
+    """``node`` decoded, or None once its first malformed entry is named."""
     if not isinstance(node, list) or not node:
         problems.append(f"{path}: expected a non-empty array of [re, im] pairs")
-        return np.zeros(1, dtype=complex)
+        return None
     fast = _complex_array(node, 1)
     if fast is not None:
         return fast
-    return np.array(
-        [_decode_complex(x, f"{path}[{i}]", problems) for i, x in enumerate(node)],
-        dtype=complex,
-    )
+    decoded = (_decode_complex(x, f"{path}[{i}]", problems) for i, x in enumerate(node))
+    entries = list(itertools.takewhile(lambda z: z is not None, decoded))
+    return np.array(entries, dtype=complex) if len(entries) == len(node) else None
 
 
-def _decode_matrix(node, path: str, problems: list[str]) -> np.ndarray:
+def _decode_matrix(node, path: str, problems: list[str]) -> np.ndarray | None:
+    """``node`` decoded, or None once its first malformed entry, in row-major order, is named."""
     if not isinstance(node, list) or not node:
         problems.append(f"{path}: expected a non-empty array of rows")
-        return np.zeros((1, 1), dtype=complex)
+        return None
     fast = _complex_array(node, 2)
     if fast is not None:
         return fast
-    rows = [_decode_vector(row, f"{path}[{i}]", problems) for i, row in enumerate(node)]
+    decoded = (_decode_vector(row, f"{path}[{i}]", problems) for i, row in enumerate(node))
+    rows = list(itertools.takewhile(lambda r: r is not None, decoded))
+    if len(rows) < len(node):
+        return None
     if len({r.size for r in rows}) != 1:
         problems.append(f"{path}: rows have inconsistent lengths")
-        return np.zeros((1, 1), dtype=complex)
+        return None
     return np.array(rows, dtype=complex)
 
 
@@ -488,8 +499,9 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 def parse_scenario(text: str) -> Scenario:
     """Build a Scenario from its file form, or fail with field context.
 
-    A key outside ``_ACCEPTED_FIELDS`` is an unknown field; a key written
-    twice in one object is refused."""
+    Checks only structure: syntax, keys (one outside ``_ACCEPTED_FIELDS`` is
+    unknown), the shape of objects and arrays, [re, im] pairs and rule names;
+    ``Route`` and ``Scenario`` judge the values of a file that passes."""
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError:
@@ -503,37 +515,25 @@ def parse_scenario(text: str) -> Scenario:
 
     problems = [f"{key}: unknown field" for key in doc if key not in _ACCEPTED_FIELDS]
 
-    def fetch(key, kind, required=True, default=None):
+    def fetch(key, kind=object):
         if key not in doc:
-            if required:
-                problems.append(f"{key}: missing required field")
-            return default
-        value = doc[key]
-        if not isinstance(value, kind) or isinstance(value, bool):
-            want = kind.__name__ if isinstance(kind, type) else "number"
-            problems.append(f"{key}: expected {want}, got {type(value).__name__}")
-            return default
-        return value
+            problems.append(f"{key}: missing required field")
+            return None
+        if not isinstance(doc[key], kind):
+            problems.append(f"{key}: expected {kind.__name__}, got {type(doc[key]).__name__}")
+            return None
+        return doc[key]
 
-    name = fetch("name", str, default="")
-    system_dim = fetch("system_dim", int, default=1)
-    target = fetch("target", str, default="")
-    rule_name = fetch("rule", str, required=False, default=ProjectionRule.LUDERS.value)
-    tolerance = fetch("tolerance", (int, float), required=False, default=DISTANCE_TOL)
-    try:
-        tolerance = float(tolerance)
-    except OverflowError:
-        problems.append("tolerance: number out of float range")
-        tolerance = DISTANCE_TOL
+    name, system_dim, target = fetch("name"), fetch("system_dim"), fetch("target")
 
     rule = ProjectionRule.LUDERS  # of every route that names none
     try:
-        rule = ProjectionRule.from_name(rule_name)
+        rule = ProjectionRule.from_name(doc.get("rule", rule.value))
     except ValueError as exc:
         problems.append(f"rule: {exc}")
 
+    initial_state = None
     state_node = fetch("initial_state", dict)
-    initial_state: np.ndarray | DensityMatrix = np.zeros(1, dtype=complex)
     if state_node is not None:
         keys = set(state_node)
         if keys == {"vector"}:
@@ -544,7 +544,7 @@ def parse_scenario(text: str) -> Scenario:
             mat = _decode_matrix(
                 state_node["density_matrix"], "initial_state.density_matrix", problems
             )
-            if not problems:
+            if mat is not None:
                 try:
                     initial_state = DensityMatrix(mat)
                 except (DimensionError, HermiticityError, InvariantError) as exc:
@@ -554,42 +554,37 @@ def parse_scenario(text: str) -> Scenario:
                 "initial_state: expected exactly one of 'vector' or 'density_matrix'"
             )
 
-    observables: dict[str, np.ndarray] = {}
     obs_node = fetch("observables", dict)
-    if obs_node is not None:
-        if not obs_node:
-            problems.append("observables: at least one observable required")
-        for label, m in obs_node.items():
-            observables[label] = _decode_matrix(m, f"observables.{label}", problems)
+    if obs_node == {}:
+        problems.append("observables: at least one observable required")
+    observables = {k: _decode_matrix(m, f"observables.{k}", problems) for k, m in (obs_node or {}).items()}
 
     routes: list[Route] = []
-    routes_node = fetch("routes", list)
-    if routes_node is not None:
-        for i, node in enumerate(routes_node):
-            if not isinstance(node, dict):
-                problems.append(f"routes[{i}]: expected an object")
-                continue
-            problems += [f"routes[{i}].{key}: unknown field" for key in node if key not in _ROUTE_FIELDS]
-            steps = node.get("steps")
-            if (
-                not isinstance(steps, list)
-                or not steps
-                or not all(isinstance(s, str) for s in steps)
-            ):
-                problems.append(f"routes[{i}].steps: expected a non-empty array of labels")
-                continue
-            route_rule = rule
-            if "rule" in node:
-                try:
-                    route_rule = ProjectionRule.from_name(node["rule"])
-                except (ValueError, TypeError) as exc:
-                    problems.append(f"routes[{i}].rule: {exc}")
-            route_name = node.get("name", "")
-            if not isinstance(route_name, str):
-                problems.append(f"routes[{i}].name: expected a string")
-                route_name = ""
-            routes.append(Route(tuple(steps), route_rule, route_name))
+    for i, node in enumerate(fetch("routes", list) or ()):
+        if not isinstance(node, dict):
+            problems.append(f"routes[{i}]: expected an object")
+            continue
+        problems += [f"routes[{i}].{key}: unknown field" for key in node if key not in _ROUTE_FIELDS]
+        route_rule = rule
+        if "rule" in node:
+            try:
+                route_rule = ProjectionRule.from_name(node["rule"])
+            except ValueError as exc:
+                problems.append(f"routes[{i}].rule: {exc}")
+        steps = node.get("steps")
+        if not isinstance(steps, list):
+            problems.append(f"routes[{i}].steps: expected a non-empty array of labels")
+            continue
+        try:
+            routes.append(Route(steps, route_rule, node.get("name", "")))
+        except (TypeError, ValueError) as exc:
+            problems.append(f"routes[{i}]: {exc}")
 
+    # Read as a float, like array entries; Scenario refuses an int past the float range.
+    tolerance = doc.get("tolerance", DISTANCE_TOL)
+    if type(tolerance) is int:
+        with contextlib.suppress(OverflowError):
+            tolerance = float(tolerance)
     if problems:
         raise ValidationError(problems)
     return Scenario(

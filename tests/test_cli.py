@@ -267,6 +267,25 @@ class TestRunJsonStability:
         assert outputs[0].count("0\n{") == len(commands)
         assert outputs[0] == outputs[1]
 
+    def test_values_agree_to_rounding_across_blas_thread_counts_at_dim_129(self, tmp_path):
+        # Past about dim 96 OpenBLAS may round differently under one and two
+        # threads, so the bytes may differ; the verdicts and distances may not.
+        path = tmp_path / "degenerate-129.json"
+        path.write_text(serialize_scenario(degenerate_scenario(7, 129)))
+        src = str(Path(qroutes.__file__).resolve().parents[1])
+        reports = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-m", "qroutes.cli", "run", str(path), "--format", "json"],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            reports.append(json.loads(done.stdout)["comparison"])
+        one, two = reports
+        assert one["verdicts"] == two["verdicts"]
+        assert np.abs(np.subtract(one["pairwise_trace_distance"], two["pairwise_trace_distance"])).max() <= 1e-12
+
 
 class TestRunFromFile:
     def test_scenario_file(self, capsys, tmp_path):
@@ -434,13 +453,18 @@ VIOLATIONS = [
     ("empty-matrix", _put("observables", "A", []), "observables.A: expected a non-empty array of rows"),
     ("no-observables", _put("observables", {}), "observables: at least one observable required"),
     ("route-not-object", _put("routes", 0, "C"), "routes[0]: expected an object"),
-    ("empty-steps", _put("routes", 0, "steps", []), "routes[0].steps: expected a non-empty array of labels"),
+    ("empty-steps", _put("routes", 0, "steps", []), "routes[0]: a route needs at least one step"),
+    ("steps-object", _put("routes", 0, "steps", {"C": 0}), "routes[0].steps: expected a non-empty array of labels"),
     (
         "route-rule",
         _put("routes", 0, "rule", "projective"),
         "routes[0].rule: unknown projection rule 'projective' (expected one of: luders, von-neumann)",
     ),
-    ("route-name", _put("routes", 0, "name", 5), "routes[0].name: expected a string"),
+    ("route-name", _put("routes", 0, "name", 5), "routes[0]: route name must be a string, got 5"),
+    ("name", _put("name", 5), "name: expected str, got int"),
+    ("target", _put("target", 5), "target: expected str, got int"),
+    ("tolerance-bool", _put("tolerance", True), "tolerance: expected number, got bool"),
+    ("rule", _put("rule", 5), "rule: unknown projection rule 5 (expected one of: luders, von-neumann)"),
     ("huge-tolerance-literal", _put("tolerance", _HUGE), "tolerance: must be finite, got inf"),
     ("unknown-field", _put("toleranse", 1.0), "toleranse: unknown field"),
     ("unknown-route-field", _put("routes", 0, "weight", 1.0), "routes[0].weight: unknown field"),
@@ -563,6 +587,43 @@ class TestValidateAgreesWithRun:
         code, out, err = run_cli(capsys, command, str(path))
         assert code == 2
         assert out == ""
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_values_are_judged_only_once_the_structure_holds(self, capsys, tmp_path, command):
+        doc = json.loads(serialize_scenario(builtin("qutrit-paper")))
+        doc["name"] = 5
+        del doc["routes"]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        prefix = "error: " if command == "run" else ""
+        assert run_cli(capsys, command, str(path)) == (2, "", f"{prefix}routes: missing required field\n")
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "edit, line",
+        [
+            (
+                _put("observables", "A", [[[True, False]] * 3] * 3),
+                "observables.A[0][0]: expected a [re, im] number pair, got [True, False]",
+            ),
+            (
+                _put("observables", "A", [[["x", 0]] * 300] * 300),
+                "observables.A[0][0]: expected a [re, im] number pair, got ['x', 0]",
+            ),
+            (
+                _put("initial_state", "vector", [[0.5, 0.0], "1", None]),
+                "initial_state.vector[1]: expected a [re, im] number pair, got '1'",
+            ),
+        ],
+        ids=["bool-pairs-3x3", "string-pairs-300x300", "vector"],
+    )
+    def test_malformed_array_names_only_its_first_bad_entry(self, capsys, tmp_path, command, edit, line):
+        doc = json.loads(serialize_scenario(builtin("qutrit-paper")))
+        edit(doc)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        prefix = "error: " if command == "run" else ""
+        assert run_cli(capsys, command, str(path)) == (2, "", f"{prefix}{line}\n")
 
 
 def _refuse_non_finite(constant):

@@ -117,10 +117,11 @@ class TestRunRoute:
             Route(steps=())
 
     @pytest.mark.parametrize(
-        "steps, shown", [("M3", "'M3'"), (("M1", 2), "('M1', 2)"), ([None], "(None,)")]
+        "steps, shown", [("M3", "'M3'"), (("M1", 2), "('M1', 2)"), ([None], "(None,)"), (5, "5"), (None, "None")]
     )
     def test_route_refuses_steps_that_are_not_labels(self, steps, shown):
         # A string is a sequence of one-character labels; it is refused, not split.
+        # Steps that are not iterable at all draw the same message.
         message = f"route steps must be a sequence of labels, got {shown}"
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             Route(steps)
@@ -136,7 +137,7 @@ class TestRunRoute:
 
     @pytest.mark.parametrize("name", [5, None, b"AB"])
     def test_route_refuses_a_name_that_is_not_a_string(self, name):
-        # A scenario file refuses the same name as "routes[i].name: expected a string".
+        # A scenario file's route name is refused with this message, as "routes[i]: ...".
         message = f"route name must be a string, got {name!r}"
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             Route(("A",), name=name)

@@ -267,6 +267,34 @@ class TestScenarioMethods:
         assert t.observables["A"] is r["B"]
         assert t.observables["B"] is r["B"]
 
+    def test_observable_under_a_label_that_is_not_a_str_is_refused(self):
+        # Accepted, it would be serialized under the key "5" and parse back under another label.
+        s = builtin("qutrit-paper")
+        with pytest.raises(ValidationError) as info:
+            dataclasses.replace(s, observables={5: s.observables["A"], **s.observables})
+        assert info.value.violations == ["observables: expected str labels, got 5"]
+
+    def test_tolerance_is_kept_as_a_float(self):
+        s = builtin("qutrit-paper")
+        doc = json.loads(serialize_scenario(s))
+        doc["tolerance"] = 1
+        for t in (dataclasses.replace(s, tolerance=1), parse_scenario(json.dumps(doc))):
+            assert type(t.tolerance) is float and t.tolerance == 1.0
+        doc["tolerance"] = -1
+        with pytest.raises(ValidationError) as info:
+            parse_scenario(json.dumps(doc))
+        assert info.value.violations == ["tolerance: must be positive, got -1.0"]
+
+    def test_value_problems_are_all_named_even_past_a_bad_dimension(self):
+        with pytest.raises(ValidationError) as info:
+            dataclasses.replace(builtin("qutrit-paper"), name=5, system_dim=0, target="Z", tolerance=0)
+        assert info.value.violations == [
+            "name: expected str, got int",
+            "target: unresolved label 'Z'",
+            "tolerance: must be positive, got 0",
+            "system_dim: must be positive, got 0",
+        ]
+
     def test_dimension_past_the_cap_is_refused_before_any_decomposition(self, monkeypatch):
         s = builtin("qutrit-paper")
         monkeypatch.setattr(scenarios, "spectral_decompose", None)
@@ -374,6 +402,9 @@ class TestRoundTrip:
             ("name", 5, "name: expected str, got int"),
             ("name", None, "name: expected str, got NoneType"),
             ("name", ["qutrit"], "name: expected str, got list"),
+            ("target", 5, "target: expected str, got int"),
+            ("target", ["C"], "target: expected str, got list"),
+            ("target", None, "target: expected str, got NoneType"),
             ("tolerance", True, "tolerance: expected number, got bool"),
             ("tolerance", "x", "tolerance: expected number, got str"),
             ("tolerance", None, "tolerance: expected number, got NoneType"),
