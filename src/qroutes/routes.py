@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import reprlib
-import sys
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -98,11 +97,13 @@ def _tolerance_problem(tol: float) -> str:
     bool, within the float range."""
     if isinstance(tol, bool) or not isinstance(tol, (int, float)):
         return f"tolerance: expected number, got {type(tol).__name__}"
-    if isinstance(tol, int) and abs(tol) > sys.float_info.max:
+    try:
+        value = float(tol)  # an int is read as the nearest float
+    except OverflowError:
         return "tolerance: number out of float range"
-    if not tol > 0:
+    if not value > 0:
         return f"tolerance: must be positive, got {tol}"
-    return "" if np.isfinite(tol) else f"tolerance: must be finite, got {tol}"
+    return "" if np.isfinite(value) else f"tolerance: must be finite, got {tol}"
 
 
 def commutes(a: Observable, b: Observable) -> bool:

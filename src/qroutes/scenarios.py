@@ -11,7 +11,6 @@ would, so floats round-trip exactly.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -61,12 +60,25 @@ class Scenario:
     _initial_density: DensityMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
-        registry = dict(self.observables)
-        object.__setattr__(self, "routes", tuple(self.routes))
+        problems = []
+        try:
+            registry = dict(self.observables)
+        except (TypeError, ValueError):
+            problems.append(f"observables: expected a mapping, got {reprlib.repr(self.observables)}")
+        try:
+            object.__setattr__(self, "routes", tuple(self.routes))
+        except TypeError:
+            problems.append(f"routes: expected a sequence, got {reprlib.repr(self.routes)}")
         if not isinstance(self.initial_state, DensityMatrix):
-            v = np.array(self.initial_state, dtype=complex).reshape(-1)
-            v.setflags(write=False)
-            object.__setattr__(self, "initial_state", v)
+            try:
+                v = np.array(self.initial_state, dtype=complex).reshape(-1)
+            except (TypeError, ValueError):
+                problems.append(f"initial_state.vector: expected numbers, got {reprlib.repr(self.initial_state)}")
+            else:
+                v.setflags(write=False)
+                object.__setattr__(self, "initial_state", v)
+        if problems:  # the checks below read these three fields
+            raise ValidationError(problems)
         problems = self._violations(registry)
         if problems:
             raise ValidationError(problems)
@@ -86,6 +98,9 @@ class Scenario:
         if len(self.routes) < 2:
             out.append("routes: at least two routes required")
         for i, route in enumerate(self.routes):
+            if not isinstance(route, Route):
+                out.append(f"routes[{i}]: expected a Route, got {reprlib.repr(route)}")
+                continue
             for step in route.steps:
                 if step not in registry:
                     out.append(f"routes[{i}]: unresolved label {step!r}")
@@ -124,7 +139,11 @@ class Scenario:
                     out.append(f"initial_state.vector: {exc}")
         for label, m in registry.items():
             kept = isinstance(m, Observable)  # decomposed already
-            a = m.matrix if kept else np.asarray(m, dtype=complex)
+            try:
+                a = m.matrix if kept else np.asarray(m, dtype=complex)
+            except (TypeError, ValueError):
+                out.append(f"observables.{label}: expected numbers, got {reprlib.repr(m)}")
+                continue
             if a.shape != (self.system_dim, self.system_dim):
                 out.append(
                     f"observables.{label}: shape {a.shape} != "
@@ -342,71 +361,48 @@ def builtin(name: str, *, state=None) -> Scenario:
     return scenario
 
 
-def _decode_complex(node, path: str, problems: list[str]) -> complex | None:
-    if (
-        isinstance(node, list)
-        and len(node) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in node)
-    ):
-        try:
-            return complex(node[0], node[1])
-        except OverflowError:
-            problems.append(f"{path}: number out of float range")
-            return None
-    problems.append(f"{path}: expected a [re, im] number pair, got {reprlib.repr(node)}")
+def _decode(node, rank: int, path: str, problems: list[str]) -> np.ndarray | None:
+    """``node`` as a complex array of ``rank`` axes, or None once its first
+    malformed entry, in row-major order, is named.
+
+    Well formed means a regular nest of JSON numbers with a last axis of
+    [re, im] pairs; an integer is read as the nearest float. The pairs are
+    reinterpreted in place rather than combined as ``re + 1j*im``, which
+    would turn a -0.0 real part into 0.0.
+    """
+    try:
+        a = np.array(node, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        a = None
+    if a is not None and a.ndim == rank + 1 and a.shape[-1] == 2:
+        # float() also reads True, None and "1", so each leaf's type is checked.
+        leaves = node
+        for _ in range(rank):
+            leaves = itertools.chain.from_iterable(leaves)
+        if {int, float}.issuperset(map(type, leaves)):
+            return a.view(complex)[..., 0]
+    problems.append(_first_problem(node, rank, path))
     return None
 
 
-def _complex_array(node: list, rank: int) -> np.ndarray | None:
-    """``node`` as a complex array of ``rank`` axes, or None unless well formed.
-
-    Well formed means a regular nest of numbers (no bools) with a last axis
-    of [re, im] pairs. The pairs are reinterpreted in place rather than
-    combined as ``re + 1j*im``, which would turn a -0.0 real part into 0.0.
-    """
-    try:
-        a = np.array(node)
-    except ValueError:
-        return None
-    if a.dtype.kind not in "iuf" or a.ndim != rank + 1 or a.shape[-1] != 2:
-        return None
-    flat = node
-    for _ in range(rank):
-        flat = itertools.chain.from_iterable(flat)
-    if bool in map(type, flat):
-        return None
-    return a.astype(float).view(complex)[..., 0]
-
-
-def _decode_vector(node, path: str, problems: list[str]) -> np.ndarray | None:
-    """``node`` decoded, or None once its first malformed entry is named."""
+def _first_problem(node, rank: int, path: str) -> str:
+    """The problem of ``node`` at its first bad entry in row-major order; "" if it has none."""
     if not isinstance(node, list) or not node:
-        problems.append(f"{path}: expected a non-empty array of [re, im] pairs")
-        return None
-    fast = _complex_array(node, 1)
-    if fast is not None:
-        return fast
-    decoded = (_decode_complex(x, f"{path}[{i}]", problems) for i, x in enumerate(node))
-    entries = list(itertools.takewhile(lambda z: z is not None, decoded))
-    return np.array(entries, dtype=complex) if len(entries) == len(node) else None
-
-
-def _decode_matrix(node, path: str, problems: list[str]) -> np.ndarray | None:
-    """``node`` decoded, or None once its first malformed entry, in row-major order, is named."""
-    if not isinstance(node, list) or not node:
-        problems.append(f"{path}: expected a non-empty array of rows")
-        return None
-    fast = _complex_array(node, 2)
-    if fast is not None:
-        return fast
-    decoded = (_decode_vector(row, f"{path}[{i}]", problems) for i, row in enumerate(node))
-    rows = list(itertools.takewhile(lambda r: r is not None, decoded))
-    if len(rows) < len(node):
-        return None
-    if len({r.size for r in rows}) != 1:
-        problems.append(f"{path}: rows have inconsistent lengths")
-        return None
-    return np.array(rows, dtype=complex)
+        return f"{path}: expected a non-empty array of {'rows' if rank > 1 else '[re, im] pairs'}"
+    for i, entry in enumerate(node):
+        if rank > 1:
+            if problem := _first_problem(entry, rank - 1, f"{path}[{i}]"):
+                return problem
+        elif not (isinstance(entry, list) and len(entry) == 2 and {int, float}.issuperset(map(type, entry))):
+            return f"{path}[{i}]: expected a [re, im] number pair, got {reprlib.repr(entry)}"
+        else:
+            try:
+                complex(*entry)
+            except OverflowError:
+                return f"{path}[{i}]: number out of float range"
+    if rank > 1 and len(set(map(len, node))) > 1:
+        return f"{path}: rows have inconsistent lengths"
+    return ""
 
 
 def encode_complex_array(a: np.ndarray) -> np.ndarray:
@@ -537,13 +533,9 @@ def parse_scenario(text: str) -> Scenario:
     if state_node is not None:
         keys = set(state_node)
         if keys == {"vector"}:
-            initial_state = _decode_vector(
-                state_node["vector"], "initial_state.vector", problems
-            )
+            initial_state = _decode(state_node["vector"], 1, "initial_state.vector", problems)
         elif keys == {"density_matrix"}:
-            mat = _decode_matrix(
-                state_node["density_matrix"], "initial_state.density_matrix", problems
-            )
+            mat = _decode(state_node["density_matrix"], 2, "initial_state.density_matrix", problems)
             if mat is not None:
                 try:
                     initial_state = DensityMatrix(mat)
@@ -557,7 +549,7 @@ def parse_scenario(text: str) -> Scenario:
     obs_node = fetch("observables", dict)
     if obs_node == {}:
         problems.append("observables: at least one observable required")
-    observables = {k: _decode_matrix(m, f"observables.{k}", problems) for k, m in (obs_node or {}).items()}
+    observables = {k: _decode(m, 2, f"observables.{k}", problems) for k, m in (obs_node or {}).items()}
 
     routes: list[Route] = []
     for i, node in enumerate(fetch("routes", list) or ()):
@@ -580,11 +572,6 @@ def parse_scenario(text: str) -> Scenario:
         except (TypeError, ValueError) as exc:
             problems.append(f"routes[{i}]: {exc}")
 
-    # Read as a float, like array entries; Scenario refuses an int past the float range.
-    tolerance = doc.get("tolerance", DISTANCE_TOL)
-    if type(tolerance) is int:
-        with contextlib.suppress(OverflowError):
-            tolerance = float(tolerance)
     if problems:
         raise ValidationError(problems)
     return Scenario(
@@ -594,7 +581,7 @@ def parse_scenario(text: str) -> Scenario:
         observables=observables,
         routes=tuple(routes),
         target=target,
-        tolerance=tolerance,
+        tolerance=doc.get("tolerance", DISTANCE_TOL),
     )
 
 

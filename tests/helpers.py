@@ -7,13 +7,18 @@ shares no code with the LAPACK routines the package calls. The probe
 oracles keep the earlier formulations of the register reduction (the
 dense outer product, traced out by ``partial_trace``) and of the register
 labels (mixed-radix digits of the flat index); ``loop_spectral_groups``
-keeps the earlier pair-by-pair grouping of an eigensystem.
+keeps the earlier pair-by-pair grouping of an eigensystem, and
+``decode_vector`` and ``decode_matrix`` the earlier entry-by-entry decoding
+of a scenario file's [re, im] arrays.
 ``clear_builtins`` makes the next ``builtin`` call build its scenario anew.
 """
 
 from __future__ import annotations
 
 from math import prod
+
+import itertools
+import reprlib
 
 import numpy as np
 
@@ -280,3 +285,45 @@ def degenerate_scenario(seed: int, dim: int = 24) -> Scenario:
         routes=(Route(("C",), name="C"), Route(("A", "B"), name="AB"), Route(("B", "A"), name="BA")),
         target="C",
     )
+
+
+def decode_complex(node, path: str, problems: list[str]) -> complex | None:
+    """One [re, im] pair as a complex number, or None once its problem is named."""
+    if (
+        isinstance(node, list)
+        and len(node) == 2
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in node)
+    ):
+        try:
+            return complex(node[0], node[1])
+        except OverflowError:
+            problems.append(f"{path}: number out of float range")
+            return None
+    problems.append(f"{path}: expected a [re, im] number pair, got {reprlib.repr(node)}")
+    return None
+
+
+def decode_vector(node, path: str, problems: list[str]) -> np.ndarray | None:
+    """``node`` decoded pair by pair, or None once its first malformed entry is named."""
+    if not isinstance(node, list) or not node:
+        problems.append(f"{path}: expected a non-empty array of [re, im] pairs")
+        return None
+    decoded = (decode_complex(x, f"{path}[{i}]", problems) for i, x in enumerate(node))
+    entries = list(itertools.takewhile(lambda z: z is not None, decoded))
+    return np.array(entries, dtype=complex) if len(entries) == len(node) else None
+
+
+def decode_matrix(node, path: str, problems: list[str]) -> np.ndarray | None:
+    """``node`` decoded row by row, or None once its first malformed entry,
+    in row-major order, is named."""
+    if not isinstance(node, list) or not node:
+        problems.append(f"{path}: expected a non-empty array of rows")
+        return None
+    decoded = (decode_vector(row, f"{path}[{i}]", problems) for i, row in enumerate(node))
+    rows = list(itertools.takewhile(lambda r: r is not None, decoded))
+    if len(rows) < len(node):
+        return None
+    if len({r.size for r in rows}) != 1:
+        problems.append(f"{path}: rows have inconsistent lengths")
+        return None
+    return np.array(rows, dtype=complex)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 from collections.abc import Mapping
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import clear_builtins, random_density, random_hermitian, random_state
+from helpers import clear_builtins, decode_matrix, decode_vector, random_density, random_hermitian, random_state
 from qroutes import (
     DensityMatrix,
     EigenGroup,
@@ -18,14 +19,16 @@ from qroutes import (
     Scenario,
     UnknownScenarioError,
     ValidationError,
+    Verdict,
     builtin,
     builtin_descriptions,
+    compare_routes,
     parse_scenario,
     run_scenario,
     serialize_scenario,
 )
 from qroutes import measurement, scenarios
-from qroutes.scenarios import _decode_matrix, encode_complex_array, write_json
+from qroutes.scenarios import _decode, encode_complex_array, write_json
 
 SQ3 = np.sqrt(3.0)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -283,7 +286,51 @@ class TestScenarioMethods:
         doc["tolerance"] = -1
         with pytest.raises(ValidationError) as info:
             parse_scenario(json.dumps(doc))
-        assert info.value.violations == ["tolerance: must be positive, got -1.0"]
+        assert info.value.violations == ["tolerance: must be positive, got -1"]
+
+    @pytest.mark.parametrize(
+        "tol", [2**64, 10**20, int(sys.float_info.max) + 1], ids=["2**64", "10**20", "float-max-plus-1"]
+    )
+    def test_integer_tolerance_past_int64_is_read_as_the_nearest_float(self, tol):
+        s = builtin("qutrit-paper")
+        doc = json.loads(serialize_scenario(s))
+        doc["tolerance"] = tol
+        for t in (dataclasses.replace(s, tolerance=tol), parse_scenario(json.dumps(doc))):
+            assert type(t.tolerance) is float and t.tolerance == float(tol)
+        report = compare_routes(s.initial_density(), s.routes, s.observables, s.target, tol)
+        assert report.verdict(0, 1) is Verdict.EQUAL
+
+    def test_routes_that_are_not_routes_are_refused_one_line_each(self):
+        with pytest.raises(ValidationError) as info:
+            dataclasses.replace(builtin("qutrit-paper"), routes=("C", "AB"))
+        assert info.value.violations == [
+            "routes[0]: expected a Route, got 'C'",
+            "routes[1]: expected a Route, got 'AB'",
+        ]
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("observables", None, "observables: expected a mapping, got None"),
+            ("observables", 5, "observables: expected a mapping, got 5"),
+            ("routes", None, "routes: expected a sequence, got None"),
+            ("initial_state", "x", "initial_state.vector: expected numbers, got 'x'"),
+            ("initial_state", [1, {}], "initial_state.vector: expected numbers, got [1, {}]"),
+        ],
+    )
+    def test_a_field_that_cannot_be_read_is_refused_by_name(self, field, value, message):
+        with pytest.raises(ValidationError) as info:
+            dataclasses.replace(builtin("qutrit-paper"), **{field: value})
+        assert info.value.violations == [message]
+
+    def test_observable_that_is_not_numbers_is_refused_by_its_label(self):
+        s = builtin("qutrit-paper")
+        with pytest.raises(ValidationError) as info:
+            dataclasses.replace(s, observables={**s.observables, "A": "x", "B": [[{}]]})
+        assert info.value.violations == [
+            "observables.A: expected numbers, got 'x'",
+            "observables.B: expected numbers, got [[{}]]",
+        ]
 
     def test_value_problems_are_all_named_even_past_a_bad_dimension(self):
         with pytest.raises(ValidationError) as info:
@@ -494,7 +541,7 @@ class TestWriteJson:
         assert write_json(doc) == json.dumps(as_lists(doc), indent=2) + "\n"
         z = pairs.view(complex)[..., 0]
         problems = []
-        back = _decode_matrix(json.loads(write_json(encode_complex_array(z))), "m", problems)
+        back = _decode(json.loads(write_json(encode_complex_array(z))), 2, "m", problems)
         assert problems == []
         # array_equal alone would not see the sign of a zero.
         assert np.array_equal(back.view(np.float64), z.view(np.float64))
@@ -512,6 +559,63 @@ class TestWriteJson:
     )
     def test_matches_json_dumps_on_chosen_documents(self, doc):
         assert write_json(doc) == json.dumps(as_lists(doc), indent=2) + "\n"
+
+
+# Numbers a file's array entry may be, the integers among them past int64
+# and past the float range; leaves a file may hold that are not numbers; and
+# entries that are not [re, im] number pairs.
+NUMBER_LEAVES = (
+    st.floats() | st.integers(-2, 2) | st.sampled_from([-0.0, 2**63, 10**20, 10**400, -(10**400)])
+)
+OTHER_LEAVES = st.sampled_from([True, False, None, "1", "x"])
+NUMBER_PAIRS = st.lists(NUMBER_LEAVES, min_size=2, max_size=2)
+NOT_PAIRS = st.lists(NUMBER_LEAVES, max_size=3).filter(lambda p: len(p) != 2) | NUMBER_LEAVES | OTHER_LEAVES
+
+
+@st.composite
+def pair_nests(draw):
+    """A rank, 1 or 2, and a nest of [re, im] pairs of that rank, left well
+    formed or given up to two defects: a pair with a leaf that is not a
+    number, an entry that is not a pair, a pair added or dropped (rows turn
+    ragged or empty), or a row that is not an array."""
+    rank = draw(st.integers(1, 2))
+    width = draw(st.integers(1, 3))
+    height = draw(st.integers(1, 3)) if rank == 2 else 1
+    rows = [draw(st.lists(NUMBER_PAIRS, min_size=width, max_size=width)) for _ in range(height)]
+    for _ in range(draw(st.integers(0, 2))):
+        lists = [row for row in rows if isinstance(row, list) and row]
+        if not lists:
+            break
+        row = draw(st.sampled_from(lists))
+        j = draw(st.integers(0, len(row) - 1))
+        defect = draw(st.sampled_from(["leaf", "pair", "add", "drop", "row"]))
+        if defect == "leaf":
+            row[j] = draw(st.permutations([draw(NUMBER_LEAVES), draw(OTHER_LEAVES)]))
+        elif defect == "pair":
+            row[j] = draw(NOT_PAIRS)
+        elif defect == "add":
+            row.insert(j, draw(NUMBER_PAIRS))
+        elif defect == "drop":
+            del row[j]
+        else:
+            rows[next(i for i, r in enumerate(rows) if r is row)] = draw(OTHER_LEAVES | st.just({}))
+    return rank, rows if rank == 2 else rows[0]
+
+
+class TestDecode:
+    @settings(max_examples=1000, deadline=None)
+    @given(nest=pair_nests())
+    def test_agrees_with_the_entrywise_decoder(self, nest):
+        rank, node = nest
+        expected_problems, problems = [], []
+        expected = (decode_vector if rank == 1 else decode_matrix)(node, "m", expected_problems)
+        got = _decode(node, rank, "m", problems)
+        assert problems == expected_problems
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            # Bit for bit: the sign of a zero and every NaN's bits too.
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def dataclass_with_density(scenario, rho):
@@ -576,7 +680,7 @@ class TestParseErrors:
         for _ in range(990):
             node = [node]
         problems = []
-        _decode_matrix([[node]], "observables.A", problems)
+        _decode([[node]], 2, "observables.A", problems)
         assert problems == [f"observables.A[0][0]: {pair} [[[[[[[...]]]]]]]"]
 
     def test_nonhermitian_observable_names_the_label(self):
