@@ -1,8 +1,10 @@
 """Dense complex linear algebra for small Hilbert spaces.
 
 Matrices are square numpy arrays of ``complex128``. Eigensystems come from
-LAPACK through ``numpy.linalg.eigh``, with a fixed order and phase
-convention on top; callers that need only eigenvalues use ``eigvalsh``.
+LAPACK through ``numpy.linalg.eigh``, eigenvalues descending; inside an
+eigenspace no order or phase is promised, since callers read an eigenspace
+only through its projector. Callers that need only eigenvalues use
+``eigvalsh``.
 
 This module also holds the package's tolerance policy: every closeness
 threshold is one of the named constants below. A check on a matrix written
@@ -93,9 +95,9 @@ def hermitian_eigendecomposition(m) -> tuple[np.ndarray, np.ndarray]:
     """Full eigensystem of a Hermitian matrix, computed by LAPACK (``eigh``).
 
     Returns ``(values, vectors)`` arrays as ``eigh`` does, column
-    ``vectors[:, i]`` the eigenvector of ``values[i]``, values descending.
-    Ties are ordered by the index of the first nonzero eigenvector
-    component, whose phase is fixed to make it real and positive.
+    ``vectors[:, i]`` an eigenvector of ``values[i]``, values descending.
+    Inside an eigenspace the columns are whichever orthonormal basis
+    ``eigh`` returns: no order or phase is promised there.
 
     Raises HermiticityError when ``max |m - m†|`` exceeds
     ``scaled_tol(MATRIX_TOL, m)``, that is ``MATRIX_TOL`` times
@@ -107,15 +109,7 @@ def hermitian_eigendecomposition(m) -> tuple[np.ndarray, np.ndarray]:
     if defect > limit:
         raise HermiticityError(f"max |m - m†| = {defect:.3e} exceeds tolerance {limit:.3e}")
     vals, vecs = np.linalg.eigh(_hermitian_part(m))
-    if vals.size == 0:
-        return vals, vecs
-    mags = np.abs(vecs)
-    # first component above 1e-8 of the column's largest one
-    lead = (mags > 1e-8 * mags.max(axis=0)).argmax(axis=0)
-    cols = np.arange(vals.size)
-    vecs = vecs * (mags[lead, cols] / vecs[lead, cols])
-    order = np.lexsort((lead, -vals))
-    return vals[order], vecs[:, order]
+    return vals[::-1], vecs[:, ::-1]
 
 
 @dataclass(frozen=True, eq=False)

@@ -98,8 +98,9 @@ class Observable:
     in, and the key a registry files it under is its only name. ``groups``
     holds one ``EigenGroup`` per distinct eigenvalue, in descending order,
     whose stacked bases are the orthonormal, complete eigenbasis
-    ``hermitian_eigendecomposition`` returns; any orthonormal basis of an
-    eigenspace does, since the updates read only projectors.
+    ``hermitian_eigendecomposition`` returns. Inside an eigenspace that
+    basis is whichever one ``eigh`` picks, in no promised order or phase;
+    any orthonormal basis does, since the updates read only projectors.
 
     The grouping band scales with the spectrum: ``band = GROUP_TOL ·
     max(1, max |λ|)``, so rescaling ``m`` rescales the band with it.

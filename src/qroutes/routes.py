@@ -12,6 +12,7 @@ import enum
 import reprlib
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -149,9 +150,7 @@ def _check_route_targets(
     for route in routes:
         if route.steps[-1] == target:
             continue
-        prod = np.eye(target_obs.dim, dtype=complex)
-        for label in route.steps:
-            prod = prod @ registry[label].matrix
+        prod = reduce(np.matmul, (registry[label].matrix for label in route.steps))
         if np.max(np.abs(prod - target_obs.matrix)) <= limit:
             continue
         warnings.warn(

@@ -36,6 +36,17 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 
+def _numbers(x) -> np.ndarray | None:
+    """A complex copy of ``x`` when numpy reads it as integers, unsigned
+    integers, floats or complex numbers; ``None`` for anything else (bools,
+    ``None``, strings, mixed or ragged nests)."""
+    try:
+        a = np.asarray(x)
+    except (TypeError, ValueError):
+        return None
+    return a.astype(complex) if a.dtype.kind in "iufc" else None
+
+
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """An immutable, fully validated route-comparison problem.
@@ -70,11 +81,10 @@ class Scenario:
         except TypeError:
             problems.append(f"routes: expected a sequence, got {reprlib.repr(self.routes)}")
         if not isinstance(self.initial_state, DensityMatrix):
-            try:
-                v = np.array(self.initial_state, dtype=complex).reshape(-1)
-            except (TypeError, ValueError):
+            if (v := _numbers(self.initial_state)) is None:
                 problems.append(f"initial_state.vector: expected numbers, got {reprlib.repr(self.initial_state)}")
             else:
+                v = v.reshape(-1)
                 v.setflags(write=False)
                 object.__setattr__(self, "initial_state", v)
         if problems:  # the checks below read these three fields
@@ -139,9 +149,8 @@ class Scenario:
                     out.append(f"initial_state.vector: {exc}")
         for label, m in registry.items():
             kept = isinstance(m, Observable)  # decomposed already
-            try:
-                a = m.matrix if kept else np.asarray(m, dtype=complex)
-            except (TypeError, ValueError):
+            a = m.matrix if kept else _numbers(m)
+            if a is None:
                 out.append(f"observables.{label}: expected numbers, got {reprlib.repr(m)}")
                 continue
             if a.shape != (self.system_dim, self.system_dim):

@@ -139,20 +139,12 @@ def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
     a[q, :] = rowq
 
 
-def _first_nonzero(v: np.ndarray) -> int:
-    cut = 1e-8 * float(np.max(np.abs(v), initial=0.0))
-    for i, x in enumerate(v):
-        if abs(x) > cut:
-            return i
-    return 0
-
-
 def jacobi_eigensystem(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigensystem of a Hermitian matrix by cyclic Jacobi rotations.
 
-    Same contract as ``hermitian_eigendecomposition``: descending
-    eigenvalues, ties ordered by the first nonzero eigenvector component,
-    and that component made real and positive.
+    Same contract as ``hermitian_eigendecomposition``: eigenvalues
+    descending, and no order or phase promised inside an eigenspace, so it
+    is compared with the package by eigenprojectors.
     """
     a = (m + m.conj().T) / 2
     n = a.shape[0]
@@ -173,15 +165,8 @@ def jacobi_eigensystem(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     else:
         raise ArithmeticError("Jacobi iteration did not converge")
     vals = np.diag(a).real
-    pairs = []
-    for i in range(n):
-        vec = v[:, i].copy()
-        j = _first_nonzero(vec)
-        ph = vec[j] / abs(vec[j])
-        vec *= np.conj(ph)
-        pairs.append((float(vals[i]), j, vec))
-    pairs.sort(key=lambda item: (-item[0], item[1]))
-    return np.array([val for val, _, _ in pairs]), np.column_stack([vec for _, _, vec in pairs])
+    order = np.argsort(-vals, kind="stable")
+    return vals[order], v[:, order]
 
 
 def partial_trace(m, dims, keep: int) -> np.ndarray:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    hermitian_with_spectrum,
     jacobi_eigensystem,
     jacobi_trace_distance,
     oracle_trace_distance,
@@ -20,10 +21,11 @@ from qroutes import (
     DimensionError,
     HermiticityError,
     InvariantError,
+    Observable,
     hermitian_eigendecomposition,
     trace_distance,
 )
-from qroutes.linalg import norm_deviation
+from qroutes.linalg import UNIT_TOL, norm_deviation
 
 SQ3 = np.sqrt(3.0)
 
@@ -94,15 +96,39 @@ class TestPartialTrace:
             partial_trace(np.eye(6, dtype=complex), [2, 3], 2)
 
 
+def column_projectors(vecs):
+    """The rank-one projector of each column of ``vecs``, stacked."""
+    return np.einsum("ik,jk->kij", vecs, vecs.conj())
+
+
+def eigenprojectors(vals, vecs, levels):
+    """The projector onto each level's eigenspace, from the columns whose
+    eigenvalue lies within 0.5 of it (levels at least 1 apart)."""
+    return [column_projectors(vecs[:, abs(vals - level) < 0.5]).sum(axis=0) for level in levels]
+
+
+@st.composite
+def degenerate_spectra(draw):
+    """Integer eigenvalues, each repeated up to 4 times, at least one more
+    than once, in dimension 2 to 16."""
+    multiplicities = draw(
+        st.lists(st.integers(1, 4), min_size=1, max_size=16).filter(
+            lambda ks: sum(ks) <= 16 and max(ks) > 1
+        )
+    )
+    k = len(multiplicities)
+    levels = draw(st.lists(st.integers(-20, 20), min_size=k, max_size=k, unique=True))
+    return np.repeat(levels, multiplicities)
+
+
 class TestEigendecomposition:
     def test_degenerate_diagonal_matrix(self):
         vals, vecs = hermitian_eigendecomposition(diag3(1, 1, 0))
         assert vals.tolist() == pytest.approx([1.0, 1.0, 0.0], abs=1e-12)
-        # Ties resolve by the position of the first sizable component.
-        assert abs(vecs[0, 0]) == pytest.approx(1.0, abs=1e-12)
-        assert abs(vecs[1, 1]) == pytest.approx(1.0, abs=1e-12)
-        assert abs(vecs[2, 2]) == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(vecs, jacobi_eigensystem(diag3(1, 1, 0))[1], atol=1e-12)
+        projectors = eigenprojectors(vals, vecs, [1, 0])
+        assert np.allclose(projectors, [diag3(1, 1, 0), diag3(0, 0, 1)], atol=1e-12)
+        jacobi = eigenprojectors(*jacobi_eigensystem(diag3(1, 1, 0)), [1, 0])
+        assert np.allclose(projectors, jacobi, atol=1e-12)
 
     def test_spectrum_with_irrational_gaps(self):
         vals = hermitian_eigendecomposition(d1_matrix())[0].tolist()
@@ -119,11 +145,11 @@ class TestEigendecomposition:
             assert np.allclose(vals, oracle, atol=1e-10)
             assert np.allclose(vecs @ np.diag(vals) @ vecs.conj().T, m, atol=1e-10)
             assert np.allclose(vecs.conj().T @ vecs, np.eye(dim), atol=1e-10)
-            # Random spectra are simple, so order and phase convention fix
-            # every eigenvector; the Jacobi oracle must agree on all of them.
+            # Random spectra are simple, so each column's rank-one projector
+            # is an eigenprojector; the Jacobi oracle must agree on all of them.
             jacobi_vals, jacobi_vecs = jacobi_eigensystem(m)
             assert np.allclose(vals, jacobi_vals, atol=1e-10)
-            assert np.allclose(vecs, jacobi_vecs, atol=1e-8)
+            assert np.allclose(column_projectors(vecs), column_projectors(jacobi_vecs), atol=1e-8)
 
     def test_handles_exact_degeneracy(self):
         rng = np.random.default_rng(21)
@@ -135,13 +161,20 @@ class TestEigendecomposition:
         assert np.allclose(vecs.conj().T @ vecs, np.eye(4), atol=1e-10)
         assert np.allclose(vecs @ np.diag(vals) @ vecs.conj().T, m, atol=1e-10)
 
-    def test_eigenvector_phase_is_canonical(self):
-        rng = np.random.default_rng(22)
-        m = random_hermitian(rng, 6)
-        for w in hermitian_eigendecomposition(m)[1].T:
-            lead = w[np.flatnonzero(np.abs(w) > 1e-8 * np.abs(w).max())[0]]
-            assert abs(lead.imag) <= 1e-12
-            assert lead.real > 0
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), spectrum=degenerate_spectra())
+    def test_eigenprojectors_match_the_jacobi_oracle_on_degenerate_spectra(self, seed, spectrum):
+        m, _ = hermitian_with_spectrum(np.random.default_rng(seed), spectrum)
+        obs = Observable(m)
+        levels = sorted(set(spectrum.tolist()), reverse=True)
+        assert obs.eigenvalues == pytest.approx(levels, abs=1e-9)
+        expected = eigenprojectors(*jacobi_eigensystem(m), levels)
+        for group, projector in zip(obs.groups, expected):
+            assert abs(group.projector - projector).max() <= 1e-8
+        u = np.concatenate([g.basis for g in obs.groups])
+        eye = np.eye(spectrum.size)
+        assert abs(u.conj() @ u.T - eye).max() <= UNIT_TOL  # orthonormal
+        assert abs(u.T @ u.conj() - eye).max() <= UNIT_TOL  # complete
 
     def test_deterministic_output(self):
         rng = np.random.default_rng(23)

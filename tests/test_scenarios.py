@@ -35,6 +35,11 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 
+def qutrit_observables(**changed):
+    """The observables of ``qutrit-paper`` as raw integer matrices, ``changed`` filed over them."""
+    return {"A": np.diag([1, 1, 0]), "B": np.diag([0, 1, 1]), "C": np.diag([0, 1, 0]), **changed}
+
+
 def spectrum(m):
     return np.sort(np.linalg.eigvalsh(m))  # independent of the package eigensolver
 
@@ -316,6 +321,20 @@ class TestScenarioMethods:
             ("routes", None, "routes: expected a sequence, got None"),
             ("initial_state", "x", "initial_state.vector: expected numbers, got 'x'"),
             ("initial_state", [1, {}], "initial_state.vector: expected numbers, got [1, {}]"),
+            ("initial_state", None, "initial_state.vector: expected numbers, got None"),
+            ("initial_state", "1", "initial_state.vector: expected numbers, got '1'"),
+            (
+                "initial_state",
+                [True, False, False],
+                "initial_state.vector: expected numbers, got [True, False, False]",
+            ),
+            ("observables", qutrit_observables(A=None), "observables.A: expected numbers, got None"),
+            (
+                "observables",
+                qutrit_observables(A=[[True, False, False], [False, True, False], [False, False, False]]),
+                "observables.A: expected numbers, got "
+                "[[True, False, False], [False, True, False], [False, False, False]]",
+            ),
         ],
     )
     def test_a_field_that_cannot_be_read_is_refused_by_name(self, field, value, message):

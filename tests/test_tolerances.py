@@ -25,12 +25,7 @@ from qroutes.linalg import GROUP_TOL, MATRIX_TOL, scaled_tol, unit_scaled
 SRC = Path(qroutes.__file__).parent
 
 # Small literals that decide no closeness check, each with its reason.
-ALLOWED = {
-    ("linalg.py", "hermitian_eigendecomposition", 1e-8): (
-        "phase convention: the first eigenvector component above rounding "
-        "noise is made real and positive; nothing passes or fails on it"
-    ),
-}
+ALLOWED: dict[tuple[str, str, float], str] = {}
 
 
 def _is_policy_constant(node) -> bool:
