@@ -103,7 +103,7 @@ def render_machine(report: RunReport) -> str:
         },
         "probe": None
         if report.probe_results is None
-        else [dict(entry) for entry in report.probe_results],
+        else list(report.probe_results),
     }
     return write_json(payload)
 

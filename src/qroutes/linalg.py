@@ -4,7 +4,8 @@ Matrices are square numpy arrays of ``complex128``. Eigensystems come from
 LAPACK through ``numpy.linalg.eigh``, eigenvalues descending; inside an
 eigenspace no order or phase is promised, since callers read an eigenspace
 only through its projector. Callers that need only eigenvalues use
-``eigvalsh``.
+``eigvalsh``. Every constructor that takes a caller's numbers reads them
+through ``as_numbers``, by the rule a scenario file's entries follow.
 
 This module also holds the package's tolerance policy: every closeness
 threshold is one of the named constants below. A check on a matrix written
@@ -20,6 +21,7 @@ threshold is exactly its constant.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,13 +70,34 @@ def norm_deviation(v) -> float:
     return abs(float(np.linalg.norm(unit)) * scale - 1.0)
 
 
+def as_numbers(x) -> np.ndarray:
+    """``x`` as a complex array, read as a scenario file's entries are: an
+    integer, float or complex ndarray, a complex one returned uncopied, or a
+    nest whose every leaf is an int, float or complex number, never a bool,
+    ``None``, a string or a ragged nest's list (TypeError). An int is read as
+    the nearest float; one past the float range raises OverflowError."""
+    if isinstance(x, np.ndarray) and x.dtype.kind in "iufc":
+        return np.asarray(x, dtype=complex)
+    try:
+        nest = np.array(x, dtype=object)  # np.asarray would read [True, 0] as int64
+        kinds = set(map(type, nest.flat))
+    except ValueError:  # a nest numpy cannot shape
+        kinds = {list}
+    if bool in kinds or not all(issubclass(k, (int, float, complex, np.number)) for k in kinds):
+        raise TypeError(f"expected numbers, got {reprlib.repr(x)}")
+    try:
+        return nest.astype(complex)
+    except OverflowError:
+        raise OverflowError("number out of float range") from None
+
+
 def as_matrix(m) -> np.ndarray:
-    """Coerce to a square complex matrix, rejecting anything else."""
-    a = np.asarray(m, dtype=complex)
+    """Read ``m`` through ``as_numbers`` as a square, finite complex matrix."""
+    a = as_numbers(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
-        raise DimensionError("matrix contains non-finite entries")
+        raise DimensionError("non-finite entry")
     return a
 
 
@@ -153,7 +176,7 @@ class DensityMatrix:
         overflow, exceeds ``UNIT_TOL``; then construction checks the
         projector, so its trace ``norm(v)²`` is held to ``UNIT_TOL`` too.
         """
-        v = np.asarray(vector, dtype=complex).reshape(-1)
+        v = as_numbers(vector).reshape(-1)
         dev = norm_deviation(v)
         if dev > UNIT_TOL:
             raise InvariantError(f"norm deviates from 1 by {dev:.3e}")

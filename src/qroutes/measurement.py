@@ -34,6 +34,7 @@ from .linalg import (
     ZERO_TOL,
     DensityMatrix,
     as_matrix,
+    as_numbers,
     hermitian_eigendecomposition,
     scaled_tol,
 )
@@ -66,7 +67,7 @@ class EigenGroup:
         if not np.isfinite(self.eigenvalue):
             raise InvariantError(f"eigenvalue {self.eigenvalue} is outside the float range")
         # C order whatever the input's layout, so the projector's bits do not depend on it
-        b = np.array(self.basis, dtype=complex, order="C")
+        b = np.array(as_numbers(self.basis), order="C")
         if b.ndim != 2 or not np.isfinite(b).all():
             raise DimensionError(f"eigenspace basis must be a finite 2-D array of rows, got shape {b.shape}")
         b.setflags(write=False)

@@ -16,7 +16,7 @@ from math import prod
 import numpy as np
 
 from .errors import CapacityError, DimensionError, NoStageError, NormalizationError
-from .linalg import LABEL_TOL, MAX_DIM, UNIT_TOL, DensityMatrix, norm_deviation, scaled_tol
+from .linalg import LABEL_TOL, MAX_DIM, UNIT_TOL, DensityMatrix, as_numbers, norm_deviation, scaled_tol
 from .measurement import Observable
 
 
@@ -59,7 +59,7 @@ class TotalState:
 
     def __post_init__(self):
         object.__setattr__(self, "stage_labels", tuple(map(tuple, self.stage_labels)))
-        v = np.asarray(self.vector, dtype=complex).reshape(-1)
+        v = as_numbers(self.vector).reshape(-1)
         if v.size != self.register_dim * self.system_dim:
             raise DimensionError(
                 f"vector length {v.size} != register dim {self.register_dim} x "
@@ -89,7 +89,7 @@ class TotalState:
 
 def init_total(system) -> TotalState:
     """Total state before any measurement: no registers, just the system."""
-    v = np.asarray(system, dtype=complex).reshape(-1)
+    v = as_numbers(system).reshape(-1)
     return TotalState(vector=v.copy(), system_dim=v.size)
 
 

@@ -19,7 +19,6 @@ import json
 import reprlib
 import time
 from dataclasses import dataclass, field
-from math import prod
 from types import MappingProxyType
 from typing import Mapping
 
@@ -27,24 +26,13 @@ import numpy as np
 
 from .errors import CapacityError, DimensionError, HermiticityError, InvariantError, NumericalError
 from .errors import ParseError, UnknownScenarioError, ValidationError
-from .linalg import DISTANCE_TOL, MAX_DIM, UNIT_TOL, DensityMatrix
+from .linalg import DISTANCE_TOL, MAX_DIM, UNIT_TOL, DensityMatrix, as_numbers
 from .measurement import Observable, ProjectionRule, spectral_decompose
 from .probe import init_total, interact, probe_signal_distribution, reduced_system_state, stage_labels_for
 from .routes import ComparisonReport, Route, _tolerance_problem, compare_routes, run_route
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-
-
-def _numbers(x) -> np.ndarray | None:
-    """A complex copy of ``x`` when numpy reads it as integers, unsigned
-    integers, floats or complex numbers; ``None`` for anything else (bools,
-    ``None``, strings, mixed or ragged nests)."""
-    try:
-        a = np.asarray(x)
-    except (TypeError, ValueError):
-        return None
-    return a.astype(complex) if a.dtype.kind in "iufc" else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,10 +69,11 @@ class Scenario:
         except TypeError:
             problems.append(f"routes: expected a sequence, got {reprlib.repr(self.routes)}")
         if not isinstance(self.initial_state, DensityMatrix):
-            if (v := _numbers(self.initial_state)) is None:
-                problems.append(f"initial_state.vector: expected numbers, got {reprlib.repr(self.initial_state)}")
+            try:
+                v = as_numbers(self.initial_state).flatten()  # a copy; the caller's stays writable
+            except (TypeError, OverflowError) as exc:
+                problems.append(f"initial_state.vector: {exc}")
             else:
-                v = v.reshape(-1)
                 v.setflags(write=False)
                 object.__setattr__(self, "initial_state", v)
         if problems:  # the checks below read these three fields
@@ -149,17 +138,16 @@ class Scenario:
                     out.append(f"initial_state.vector: {exc}")
         for label, m in registry.items():
             kept = isinstance(m, Observable)  # decomposed already
-            a = m.matrix if kept else _numbers(m)
-            if a is None:
-                out.append(f"observables.{label}: expected numbers, got {reprlib.repr(m)}")
+            try:
+                a = m.matrix if kept else as_numbers(m)
+            except (TypeError, OverflowError) as exc:
+                out.append(f"observables.{label}: {exc}")
                 continue
             if a.shape != (self.system_dim, self.system_dim):
                 out.append(
                     f"observables.{label}: shape {a.shape} != "
                     f"({self.system_dim}, {self.system_dim})"
                 )
-            elif not kept and not np.all(np.isfinite(a)):
-                out.append(f"observables.{label}: non-finite entry")
             elif not kept:
                 try:
                     registry[label] = spectral_decompose(a)
@@ -204,21 +192,18 @@ def run_scenario(scenario: Scenario, probe: bool = False) -> RunReport:
             ["initial_state: the probe cross-check needs a vector initial state"]
         )
     registry = scenario.observables
-    if probe:
-        # interact refuses the same register, but only once every route has run
-        for route in scenario.routes:
-            total = scenario.system_dim * prod(len(registry[s].groups) for s in route.steps)
-            if total > MAX_DIM:
-                raise CapacityError(
-                    f"route {route.display_name}: total dimension {total} exceeds the {MAX_DIM} limit"
-                )
+    totals = []  # each route's register state; interact refuses an oversized one before any route runs
+    for route in scenario.routes if probe else ():
+        try:
+            steps = (registry[label] for label in route.steps)
+            totals.append(functools.reduce(interact, steps, init_total(scenario.initial_state)))
+        except CapacityError as exc:
+            raise CapacityError(f"route {route.display_name}: {exc}") from None
     initial = scenario.initial_density()
     comparison = compare_routes(
         initial, list(scenario.routes), registry, scenario.target, scenario.tolerance
     )
-    probe_results = None
-    if probe:
-        probe_results = _probe_cross_check(scenario, registry, initial, comparison)
+    probe_results = _probe_cross_check(scenario, totals, initial, comparison) if probe else None
     duration = time.perf_counter() - start
     return RunReport(
         scenario=scenario,
@@ -229,19 +214,15 @@ def run_scenario(scenario: Scenario, probe: bool = False) -> RunReport:
     )
 
 
-def _probe_cross_check(scenario, registry, initial, comparison) -> tuple[dict, ...]:
+def _probe_cross_check(scenario, totals, initial, comparison) -> tuple[dict, ...]:
     # The register model realizes the Lueders semantics, so each route is
     # checked against its Lueders evaluation whatever rule the route runs under;
     # a Lueders route's final state from the comparison is that evaluation.
-    # run_scenario has already refused a density-matrix initial state.
     results = []
-    for route, final in zip(scenario.routes, comparison.final_states):
-        total = init_total(scenario.initial_state)
-        for label in route.steps:
-            total = interact(total, registry[label])
+    for route, total, final in zip(scenario.routes, totals, comparison.final_states):
         reduced = reduced_system_state(total)
         reference = final if route.rule is ProjectionRule.LUDERS else run_route(
-            initial, dataclasses.replace(route, rule=ProjectionRule.LUDERS), registry
+            initial, dataclasses.replace(route, rule=ProjectionRule.LUDERS), scenario.observables
         )
         deviation = float(np.max(np.abs(reduced.mat - reference.mat)))
         results.append(

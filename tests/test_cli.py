@@ -446,6 +446,11 @@ VIOLATIONS = [
     ("huge-observable-entry", _put("observables", "A", 0, 0, [_HUGE, 0.0]), "observables.A: non-finite entry"),
     ("observable-shape", _put("observables", "A", _QUBIT_ID), "observables.A: shape (2, 2) != (3, 3)"),
     (
+        "huge-density-matrix-entry",
+        _put("initial_state", {"density_matrix": [[[_HUGE, 0.0], [0.0, 0.0], [0.0, 0.0]], *_diag(0, 0, 0)[1:]]}),
+        "initial_state.density_matrix: non-finite entry",
+    ),
+    (
         "empty-vector",
         _put("initial_state", "vector", []),
         "initial_state.vector: expected a non-empty array of [re, im] pairs",

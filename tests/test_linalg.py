@@ -19,10 +19,14 @@ from helpers import (
 from qroutes import (
     DensityMatrix,
     DimensionError,
+    EigenGroup,
     HermiticityError,
     InvariantError,
+    NormalizationError,
     Observable,
+    TotalState,
     hermitian_eigendecomposition,
+    init_total,
     trace_distance,
 )
 from qroutes.linalg import UNIT_TOL, norm_deviation
@@ -303,6 +307,50 @@ class TestTraceDistance:
                 DensityMatrix(np.eye(2, dtype=complex) / 2),
                 DensityMatrix(np.eye(3, dtype=complex) / 3),
             )
+
+
+# Each constructor that reads a caller's numbers, given a nest whose first
+# entry is ``x``, and what it makes of ``x = 10**20``: the value it kept, or
+# the refusal that names the value it read.
+READERS = {
+    "Observable": (lambda x: Observable([[x, 0], [0, 0]]), lambda o: o.eigenvalues == (1e20, 0.0)),
+    "DensityMatrix": (
+        lambda x: DensityMatrix([[x, 0], [0, 0]]),
+        (InvariantError, "density matrix trace deviates from 1 by 1.000e+20"),
+    ),
+    "DensityMatrix.pure": (
+        lambda x: DensityMatrix.pure([x, 0]),
+        (InvariantError, "norm deviates from 1 by 1.000e+20"),
+    ),
+    "EigenGroup": (lambda x: EigenGroup(1.0, [[x, 0]]), lambda g: g.basis.tolist() == [[1e20, 0]]),
+    "init_total": (lambda x: init_total([x, 0]), (NormalizationError, "norm deviates from 1 by 1.000e+20")),
+    "TotalState": (lambda x: TotalState([x, 0], 2), (NormalizationError, "norm deviates from 1 by 1.000e+20")),
+    "hermitian_eigendecomposition": (
+        lambda x: hermitian_eigendecomposition([[x, 0], [0, 0]]),
+        lambda result: result[0].tolist() == [1e20, 0.0],
+    ),
+}
+
+
+class TestOneReader:
+    """Every constructor reads a caller's numbers by the rule of a file's entries."""
+
+    @pytest.mark.parametrize("leaf", [True, None, "1"], ids=["bool", "None", "str"])
+    @pytest.mark.parametrize("reader", READERS)
+    def test_refuses_what_is_not_numbers(self, reader, leaf):
+        build, _ = READERS[reader]
+        with pytest.raises(TypeError, match=r"^expected numbers, got "):
+            build(leaf)
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_reads_an_int_past_int64_as_the_nearest_float(self, reader):
+        build, expected = READERS[reader]
+        if callable(expected):
+            assert expected(build(10**20))
+        else:
+            error, message = expected
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                build(10**20)
 
 
 # Randomized invariants.  Complex entries are built from pairs of floats so

@@ -172,7 +172,7 @@ class TestObservableMessages:
         [
             (np.zeros((0, 0)), DimensionError, "cannot decompose an empty matrix"),
             (np.ones((2, 3)), DimensionError, "expected a square matrix, got shape (2, 3)"),
-            (np.diag([1.0, np.nan]), DimensionError, "matrix contains non-finite entries"),
+            (np.diag([1.0, np.nan]), DimensionError, "non-finite entry"),
             ([[0, 1], [0, 0]], HermiticityError, "max |m - m†| = 1.000e+00 exceeds tolerance 1.000e-10"),
             (np.diag([1, 1 + 3e-8, 0]), AmbiguousGroupingError, "eigenvalue gap 3.000e-08 falls inside (1.000e-08, 1.000e-07)"),
             # Each gap 6e-9 is inside the band 1e-8; the chain spans 1.2e-8.

@@ -28,6 +28,7 @@ from qroutes import (
     serialize_scenario,
 )
 from qroutes import measurement, scenarios
+from qroutes.linalg import as_numbers
 from qroutes.scenarios import _decode, encode_complex_array, write_json
 
 SQ3 = np.sqrt(3.0)
@@ -328,7 +329,19 @@ class TestScenarioMethods:
                 [True, False, False],
                 "initial_state.vector: expected numbers, got [True, False, False]",
             ),
+            ("initial_state", [True, 0, 0], "initial_state.vector: expected numbers, got [True, 0, 0]"),
+            ("initial_state", [True, 0, 0.0], "initial_state.vector: expected numbers, got [True, 0, 0.0]"),
             ("observables", qutrit_observables(A=None), "observables.A: expected numbers, got None"),
+            (
+                "observables",
+                qutrit_observables(A=[[1, 0, 0], [0, True, 0], [0, 0, 0]]),
+                "observables.A: expected numbers, got [[1, 0, 0], [0, True, 0], [0, 0, 0]]",
+            ),
+            (
+                "observables",
+                qutrit_observables(A=[[10**400, 0, 0], [0, 0, 0], [0, 0, 0]]),
+                "observables.A: number out of float range",
+            ),
             (
                 "observables",
                 qutrit_observables(A=[[True, False, False], [False, True, False], [False, False, False]]),
@@ -341,6 +354,19 @@ class TestScenarioMethods:
         with pytest.raises(ValidationError) as info:
             dataclasses.replace(builtin("qutrit-paper"), **{field: value})
         assert info.value.violations == [message]
+
+    def test_observable_list_holding_an_int_past_int64_is_read_as_the_nearest_float(self):
+        s = dataclasses.replace(
+            builtin("qutrit-paper"), observables=qutrit_observables(A=[[10**20, 0, 0], [0, 10**20, 0], [0, 0, 0]])
+        )
+        assert s.observables["A"].eigenvalues == (1e20, 0.0)
+
+    def test_a_complex_vector_initial_state_stays_writable(self):
+        given = np.array([1, 0, 0], dtype=complex)
+        s = dataclasses.replace(builtin("qutrit-paper"), initial_state=given)
+        assert given.flags.writeable and not s.initial_state.flags.writeable
+        given[0] = 5.0
+        assert s.initial_state[0] == 1.0
 
     def test_observable_that_is_not_numbers_is_refused_by_its_label(self):
         s = builtin("qutrit-paper")
@@ -621,6 +647,21 @@ def pair_nests(draw):
     return rank, rows if rank == 2 else rows[0]
 
 
+# Leaves a library caller's nest may hold: numbers a file may hold too, and
+# bools, None and strings, which neither accepts.
+LIBRARY_LEAVES = st.floats() | st.sampled_from(
+    [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 2**63, 10**20, 10**400, True, False, None, "1"]
+)
+
+
+@st.composite
+def leaf_nests(draw):
+    """A rank, 1 or 2, and a non-empty nest of that rank whose rows may be ragged."""
+    rank = draw(st.integers(1, 2))
+    row = st.lists(LIBRARY_LEAVES, min_size=1, max_size=3)
+    return rank, draw(row) if rank == 1 else draw(st.lists(row, min_size=1, max_size=3))
+
+
 class TestDecode:
     @settings(max_examples=1000, deadline=None)
     @given(nest=pair_nests())
@@ -635,6 +676,23 @@ class TestDecode:
             assert got.dtype == expected.dtype and got.shape == expected.shape
             # Bit for bit: the sign of a zero and every NaN's bits too.
             assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @settings(max_examples=500, deadline=None)
+    @given(nest=leaf_nests())
+    def test_as_numbers_accepts_exactly_what_the_decoder_accepts(self, nest):
+        rank, node = nest
+        pairs = [[x, 0] for x in node] if rank == 1 else [[[x, 0] for x in row] for row in node]
+        decoded = _decode(pairs, rank, "m", [])
+        try:
+            read = as_numbers(node)
+        except (TypeError, OverflowError):
+            read = None
+        assert (read is None) == (decoded is None)
+        if read is not None:
+            assert read.shape == decoded.shape
+            # Bit for bit: the sign of a zero and every NaN's bits too.
+            bits = [np.ascontiguousarray(a.real).view(np.uint64) for a in (read, decoded)]
+            assert np.array_equal(*bits)
 
 
 def dataclass_with_density(scenario, rho):
