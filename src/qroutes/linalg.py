@@ -80,7 +80,7 @@ def as_numbers(x) -> np.ndarray:
         return np.asarray(x, dtype=complex)
     try:
         nest = np.array(x, dtype=object)  # np.asarray would read [True, 0] as int64
-        kinds = set(map(type, nest.flat))
+        kinds = set(map(type, nest.reshape(-1)))  # .flat stops at 32 axes
     except ValueError:  # a nest numpy cannot shape
         kinds = {list}
     if bool in kinds or not all(issubclass(k, (int, float, complex, np.number)) for k in kinds):

@@ -55,15 +55,19 @@ class ProjectionRule(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class EigenGroup:
-    """One distinct, finite eigenvalue with its eigenspace, spanned by the orthonormal
-    rows of ``basis`` (a read-only (k, n) complex copy); ``projector`` and
-    ``refinement`` are computed from it on first use and then kept, read-only
-    like ``basis``, since every run that shares the group reads them."""
+    """One distinct, finite eigenvalue, a real float, with its eigenspace,
+    spanned by the orthonormal rows of ``basis`` (a read-only (k, n) complex
+    copy); ``projector`` and ``refinement`` are computed from it on first use
+    and kept, read-only like ``basis``, as every run sharing the group reads them."""
 
     eigenvalue: float
     basis: np.ndarray
 
     def __post_init__(self):
+        value = as_numbers(self.eigenvalue)
+        if value.ndim or value.imag:
+            raise TypeError(f"expected a real eigenvalue, got {reprlib.repr(self.eigenvalue)}")
+        object.__setattr__(self, "eigenvalue", float(value.real))
         if not np.isfinite(self.eigenvalue):
             raise InvariantError(f"eigenvalue {self.eigenvalue} is outside the float range")
         # C order whatever the input's layout, so the projector's bits do not depend on it
@@ -85,7 +89,8 @@ class EigenGroup:
 
     @cached_property
     def refinement(self) -> np.ndarray:
-        """Orthonormal rows spanning the eigenspace, fixed by ``projector`` alone."""
+        """Orthonormal rows spanning the eigenspace, fixed by ``projector``
+        alone, so following the basis and index order the matrix is written in."""
         q = _eigenspace_basis(self.projector, self.degeneracy)
         q.setflags(write=False)
         return q
@@ -127,30 +132,7 @@ class Observable:
 
     def __post_init__(self):
         m = as_matrix(self.matrix).copy()  # frozen below; the caller's array stays writable
-        vals, vecs = hermitian_eigendecomposition(m)
-        if not vals.size:
-            raise DimensionError("cannot decompose an empty matrix")
-        band = scaled_tol(GROUP_TOL, vals)
-        gaps = vals[:-1] - vals[1:]
-        split = gaps > band
-        ambiguous = split & (gaps < 10.0 * band)
-        if ambiguous.any():
-            gap = float(gaps[ambiguous.argmax()])  # the first, in descending order
-            raise AmbiguousGroupingError(
-                f"eigenvalue gap {gap:.3e} falls inside ({band:.3e}, {10 * band:.3e})"
-            )
-        bounds = [0, *(split.nonzero()[0] + 1).tolist(), len(vals)]
-        spans = list(zip(bounds, bounds[1:]))
-        with np.errstate(over="ignore"):  # EigenGroup refuses a sum past the float range
-            means = [float(vals[a:b].sum() / (b - a)) for a, b in spans]  # np.mean, bit for bit
-        groups = tuple(EigenGroup(mean, vecs[:, a:b].T) for mean, (a, b) in zip(means, spans))
-        spread = float(max(vals[a] - vals[b - 1] for a, b in spans))
-        limit = scaled_tol(MATRIX_TOL, m)
-        if spread > limit:
-            raise AmbiguousGroupingError(
-                f"eigenvalues merged into one group spread over {spread:.3e}, "
-                f"more than the merge tolerance {limit:.3e}"
-            )
+        groups = _grouped(*hermitian_eigendecomposition(m), scaled_tol(MATRIX_TOL, m))
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "groups", groups)
@@ -162,6 +144,33 @@ class Observable:
     @property
     def eigenvalues(self) -> tuple[float, ...]:
         return tuple(g.eigenvalue for g in self.groups)
+
+
+def _grouped(values: np.ndarray, vectors: np.ndarray, merge_limit: float) -> tuple[EigenGroup, ...]:
+    """Descending ``values`` and eigenvector columns grouped by ``Observable``'s rule."""
+    if not values.size:
+        raise DimensionError("cannot decompose an empty matrix")
+    band = scaled_tol(GROUP_TOL, values)
+    gaps = values[:-1] - values[1:]
+    split = gaps > band
+    ambiguous = split & (gaps < 10.0 * band)
+    if ambiguous.any():
+        gap = float(gaps[ambiguous.argmax()])  # the first, in descending order
+        raise AmbiguousGroupingError(
+            f"eigenvalue gap {gap:.3e} falls inside ({band:.3e}, {10 * band:.3e})"
+        )
+    bounds = [0, *(split.nonzero()[0] + 1).tolist(), len(values)]
+    spans = list(zip(bounds, bounds[1:]))
+    with np.errstate(over="ignore"):  # EigenGroup refuses a sum past the float range
+        means = [float(values[a:b].sum() / (b - a)) for a, b in spans]  # np.mean, bit for bit
+    groups = tuple(EigenGroup(mean, vectors[:, a:b].T) for mean, (a, b) in zip(means, spans))
+    spread = float(max(values[a] - values[b - 1] for a, b in spans))
+    if spread > merge_limit:
+        raise AmbiguousGroupingError(
+            f"eigenvalues merged into one group spread over {spread:.3e}, "
+            f"more than the merge tolerance {merge_limit:.3e}"
+        )
+    return groups
 
 
 def spectral_decompose(m) -> Observable:
@@ -218,11 +227,11 @@ def von_neumann_update(rho: DensityMatrix, obs: Observable) -> DensityMatrix:
     """Non-selective rank-one update over each group's refinement basis.
 
     Each eigenspace is dephased in the basis its projector alone fixes
-    (``EigenGroup.refinement``), whichever eigenvectors the observable
-    stores; to dephase in another basis, measure a nondegenerate refinement
-    of the observable. A fully degenerate observable (a single eigenvalue
-    on the whole space) leaves no preferred refinement at all and maps
-    every state to the maximally mixed one.
+    (``EigenGroup.refinement``), whichever eigenvectors the observable stores;
+    that basis follows the basis and index order the matrices are written in.
+    To dephase in another, measure a nondegenerate refinement. A fully
+    degenerate observable (one eigenvalue on the whole space) leaves no
+    preferred refinement and maps every state to the maximally mixed one.
     """
     _check_dims(rho, obs)
     if len(obs.groups) == 1:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
-import itertools
 import json
 import reprlib
 import time
@@ -355,22 +354,17 @@ def _decode(node, rank: int, path: str, problems: list[str]) -> np.ndarray | Non
     """``node`` as a complex array of ``rank`` axes, or None once its first
     malformed entry, in row-major order, is named.
 
-    Well formed means a regular nest of JSON numbers with a last axis of
-    [re, im] pairs; an integer is read as the nearest float. The pairs are
-    reinterpreted in place rather than combined as ``re + 1j*im``, which
-    would turn a -0.0 real part into 0.0.
+    Well formed means a regular nest, read through ``as_numbers``, with a
+    last axis of [re, im] pairs; an integer is read as the nearest float.
+    The pairs are reinterpreted in place rather than combined as
+    ``re + 1j*im``, which would turn a -0.0 real part into 0.0.
     """
     try:
-        a = np.array(node, dtype=float)
-    except (TypeError, ValueError, OverflowError):
+        a = as_numbers(node)
+    except (TypeError, OverflowError):
         a = None
     if a is not None and a.ndim == rank + 1 and a.shape[-1] == 2:
-        # float() also reads True, None and "1", so each leaf's type is checked.
-        leaves = node
-        for _ in range(rank):
-            leaves = itertools.chain.from_iterable(leaves)
-        if {int, float}.issuperset(map(type, leaves)):
-            return a.view(complex)[..., 0]
+        return np.ascontiguousarray(a.real).view(complex)[..., 0]
     problems.append(_first_problem(node, rank, path))
     return None
 
@@ -383,11 +377,13 @@ def _first_problem(node, rank: int, path: str) -> str:
         if rank > 1:
             if problem := _first_problem(entry, rank - 1, f"{path}[{i}]"):
                 return problem
-        elif not (isinstance(entry, list) and len(entry) == 2 and {int, float}.issuperset(map(type, entry))):
+        elif not (isinstance(entry, list) and len(entry) == 2 and not any(isinstance(x, list) for x in entry)):
             return f"{path}[{i}]: expected a [re, im] number pair, got {reprlib.repr(entry)}"
         else:
             try:
-                complex(*entry)
+                as_numbers(entry)
+            except TypeError:
+                return f"{path}[{i}]: expected a [re, im] number pair, got {reprlib.repr(entry)}"
             except OverflowError:
                 return f"{path}[{i}]: number out of float range"
     if rank > 1 and len(set(map(len, node))) > 1:

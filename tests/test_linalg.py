@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -25,6 +26,8 @@ from qroutes import (
     NormalizationError,
     Observable,
     TotalState,
+    ValidationError,
+    builtin,
     hermitian_eigendecomposition,
     init_total,
     trace_distance,
@@ -332,6 +335,35 @@ READERS = {
 }
 
 
+def nested(leaf, depth: int):
+    """``leaf`` inside ``depth`` lists of one entry each."""
+    for _ in range(depth):
+        leaf = [leaf]
+    return leaf
+
+
+# Each reader of READERS handed a whole nest, and its refusal of a 0.0 forty
+# lists deep: deeper than the 32 axes numpy's ``flat`` walks, within the 64
+# an array may have, so the reader's own shape or norm check speaks.
+WHOLE_NESTS = {
+    "Observable": (Observable, DimensionError, f"expected a square matrix, got shape {(1,) * 40}"),
+    "DensityMatrix": (DensityMatrix, DimensionError, f"expected a square matrix, got shape {(1,) * 40}"),
+    "DensityMatrix.pure": (DensityMatrix.pure, InvariantError, "norm deviates from 1 by 1.000e+00"),
+    "EigenGroup": (
+        lambda nest: EigenGroup(1.0, nest),
+        DimensionError,
+        f"eigenspace basis must be a finite 2-D array of rows, got shape {(1,) * 40}",
+    ),
+    "init_total": (init_total, NormalizationError, "norm deviates from 1 by 1.000e+00"),
+    "TotalState": (lambda nest: TotalState(nest, 1), NormalizationError, "norm deviates from 1 by 1.000e+00"),
+    "hermitian_eigendecomposition": (
+        hermitian_eigendecomposition,
+        DimensionError,
+        f"expected a square matrix, got shape {(1,) * 40}",
+    ),
+}
+
+
 class TestOneReader:
     """Every constructor reads a caller's numbers by the rule of a file's entries."""
 
@@ -351,6 +383,26 @@ class TestOneReader:
             error, message = expected
             with pytest.raises(error, match=f"^{re.escape(message)}$"):
                 build(10**20)
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_a_nest_forty_lists_deep_meets_the_reader_s_own_check(self, reader):
+        build, error, message = WHOLE_NESTS[reader]
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build(nested(0.0, 40))
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_a_nest_deeper_than_an_array_may_be_is_not_numbers(self, reader):
+        build, _, _ = WHOLE_NESTS[reader]
+        with pytest.raises(TypeError, match=re.escape("expected numbers, got [[[[[[[...]]]]]]]")):
+            build(nested(0.0, 70))
+
+    @pytest.mark.parametrize(
+        "depth, problem", [(40, "length 1 != system_dim 3"), (70, "expected numbers, got [[[[[[[...]]]]]]]")]
+    )
+    def test_scenario_names_a_deep_nest_by_its_field(self, depth, problem):
+        with pytest.raises(ValidationError) as err:
+            dataclasses.replace(builtin("qutrit-paper"), initial_state=nested(0.0, depth))
+        assert err.value.violations == [f"initial_state.vector: {problem}"]
 
 
 # Randomized invariants.  Complex entries are built from pairs of floats so

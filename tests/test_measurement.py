@@ -145,6 +145,19 @@ class TestSpectralDecompose:
                 assert g.refinement.tobytes() == np.array(refinement).tobytes()
 
 
+class TestGrouped:
+    """The grouping rule as a function of a spectrum, its eigenvectors and a merge limit."""
+
+    def test_the_merge_limit_is_an_argument(self):
+        values = np.array([1 + 5e-9, 1.0, 0.0])
+        groups = measurement._grouped(values, np.eye(3), 1e-8)
+        assert [g.eigenvalue for g in groups] == [float(np.mean(values[:2])), 0.0]
+        assert [g.basis.tolist() for g in groups] == [[[1, 0, 0], [0, 1, 0]], [[0, 0, 1]]]
+        message = "eigenvalues merged into one group spread over 5.000e-09, more than the merge tolerance 1.000e-10"
+        with pytest.raises(AmbiguousGroupingError, match=f"^{re.escape(message)}$"):
+            measurement._grouped(values, np.eye(3), 1e-10)
+
+
 class TestObservableValidation:
     def test_merging_a_wide_real_gap_is_rejected(self):
         # Gaps below group_tol but far above eigensolver noise cannot be
@@ -275,6 +288,21 @@ class TestEigenGroup:
     def test_refuses_an_eigenvalue_outside_the_float_range(self, value):
         with pytest.raises(InvariantError, match=f"^eigenvalue {value} is outside the float range$"):
             EigenGroup(value, np.eye(3)[:1])
+
+    @pytest.mark.parametrize("value", [True, "1", None], ids=["bool", "str", "None"])
+    def test_refuses_an_eigenvalue_that_is_not_a_number(self, value):
+        with pytest.raises(TypeError, match=r"^expected numbers, got "):
+            EigenGroup(value, [[1, 0]])
+
+    @pytest.mark.parametrize("value", [1 + 1e-300j, np.array([1.0]), [1.0]], ids=["complex", "array", "list"])
+    def test_refuses_an_eigenvalue_that_is_not_one_real_number(self, value):
+        with pytest.raises(TypeError, match=r"^expected a real eigenvalue, got "):
+            EigenGroup(value, [[1, 0]])
+
+    @pytest.mark.parametrize("value, stored", [(np.float64(2), 2.0), (3, 3.0), (2**63, 2.0**63), (-0.5 + 0j, -0.5)])
+    def test_stores_the_eigenvalue_as_a_float(self, value, stored):
+        eigenvalue = EigenGroup(value, [[1, 0]]).eigenvalue
+        assert type(eigenvalue) is float and eigenvalue == stored
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(

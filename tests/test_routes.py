@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     dephased,
@@ -18,6 +20,7 @@ from qroutes import (
     ProjectionRule,
     Route,
     RouteTargetWarning,
+    Scenario,
     UnknownLabelError,
     ValidationError,
     Verdict,
@@ -27,6 +30,7 @@ from qroutes import (
     counterexample_basis,
     product_observable,
     run_route,
+    run_scenario,
     spectral_decompose,
     trace_distance,
 )
@@ -348,3 +352,76 @@ class TestCounterexampleGeometry:
             )
             for state in report.final_states:
                 assert np.abs(state.mat - expect).max() <= 1e-10
+
+
+def in_frame(scenario, v):
+    """``scenario`` written in other coordinates: its state and every
+    observable conjugated by the unitary ``v``."""
+    return dataclasses.replace(
+        scenario,
+        initial_state=v @ scenario.initial_state,
+        observables={k: v @ o.matrix @ v.conj().T for k, o in scenario.observables.items()},
+    )
+
+
+@st.composite
+def commuting_scenarios(draw):
+    """A generator and a scenario of commuting A, B and C = AB, dims 3 to 12,
+    diagonal in one random basis, each spectrum integer and degenerate (at
+    most dim // 2 + 1 values on dim entries); its routes are C, AB and BA."""
+    dim = draw(st.integers(3, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = random_unitary(rng, dim)
+    a, b = (rng.integers(-1, dim // 2, size=dim).astype(complex) for _ in range(2))
+    scenario = Scenario(
+        name=f"commuting-{dim}",
+        system_dim=dim,
+        initial_state=random_state(rng, dim),
+        observables={"A": (u * a) @ u.conj().T, "B": (u * b) @ u.conj().T, "C": (u * (a * b)) @ u.conj().T},
+        routes=(Route(("C",), name="C"), Route(("A", "B"), name="AB"), Route(("B", "A"), name="BA")),
+        target="C",
+    )
+    return rng, scenario
+
+
+class TestLudersIgnoresTheFrame:
+    """Lueders reads only projectors, so no rewriting of the same physical
+    situation moves a distance or a verdict: not other coordinates, not
+    another order of the basis states, not an affine relabelling of the
+    outcomes, not another order of the routes."""
+
+    @staticmethod
+    def assert_same(report, reference, order=(0, 1, 2)):
+        dist = reference.pairwise_trace_distance[np.ix_(order, order)]
+        assert np.abs(report.pairwise_trace_distance - dist).max() <= 1e-12
+        assert report.verdicts == tuple(tuple(reference.verdicts[i][j] for j in order) for i in order)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=commuting_scenarios())
+    def test_every_distance_and_verdict_stays(self, case):
+        rng, scenario = case
+        dim = scenario.system_dim
+        reference = run_scenario(scenario).comparison
+        for v in (random_unitary(rng, dim), np.eye(dim)[rng.permutation(dim)]):
+            self.assert_same(run_scenario(in_frame(scenario, v)).comparison, reference)
+        relabelled = {
+            k: rng.uniform(1, 4) * o.matrix + rng.uniform(-3, 3) * np.eye(dim)
+            for k, o in scenario.observables.items()
+        }
+        with pytest.warns(RouteTargetWarning):  # A·B is not C any more
+            report = run_scenario(dataclasses.replace(scenario, observables=relabelled)).comparison
+        self.assert_same(report, reference)
+        order = tuple(rng.permutation(3).tolist())
+        reordered = dataclasses.replace(scenario, routes=tuple(scenario.routes[i] for i in order))
+        self.assert_same(run_scenario(reordered).comparison, reference, order)
+
+
+def test_von_neumann_distance_follows_the_frame():
+    # Pins today's rule: the von Neumann refinement follows the basis and
+    # index order the matrices are written in, so the same qutrit written
+    # in other coordinates leaves C and AB apart.
+    qutrit = builtin("qutrit-paper")
+    turned = in_frame(qutrit, random_unitary(np.random.default_rng(0), 3))
+    for rule, before, after in ((ProjectionRule.LUDERS, 1 / 3, 1 / 3), (ProjectionRule.VON_NEUMANN, 0.0, 0.1469)):
+        distances = [run_scenario(s.with_rule(rule)).comparison.pairwise_trace_distance[0, 1] for s in (qutrit, turned)]
+        assert distances == pytest.approx([before, after], abs=1e-4)
